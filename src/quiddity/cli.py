@@ -59,7 +59,7 @@ def _env_cap(name: str, default: int) -> int:
     try:
         return int(value)
     except ValueError:
-        raise SystemExit(f"quiddity: {name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _sequences(arg: str) -> list[str]:
@@ -309,13 +309,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 
-    caps = (
-        _env_cap("QUIDDITY_MOD2_CAP", DEFAULT_MOD2_CAP),
-        _env_cap("QUIDDITY_POLYGON_CAP", DEFAULT_POLYGON_CAP),
-        _env_cap("QUIDDITY_INT_CAP", DEFAULT_INT_CAP),
-    )
-
     try:
+        caps = (
+            _env_cap("QUIDDITY_MOD2_CAP", DEFAULT_MOD2_CAP),
+            _env_cap("QUIDDITY_POLYGON_CAP", DEFAULT_POLYGON_CAP),
+            _env_cap("QUIDDITY_INT_CAP", DEFAULT_INT_CAP),
+        )
         if args.command == "check":
             return _cmd_check(args)
         if args.command == "check-mod2":

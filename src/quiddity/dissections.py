@@ -106,7 +106,13 @@ class Dissection:
         return f"Dissection(n={self._n}, diagonals={list(self._diagonals)})"
 
     def validate(self) -> None:
-        """Check all invariants; raise a DissectionError subclass on failure."""
+        """Check all invariants; raise a DissectionError subclass on failure.
+
+        Non-crossing diagonals nest like parentheses: sorted by left end
+        ascending and right end descending, each must close before, or
+        inside, the innermost one still open.  That is O(n + d log d); on a
+        failure the pairwise scan names the first crossing pair.
+        """
         if self._n < 3:
             raise DissectionError(f"a polygon needs at least 3 vertices, got n={self._n}")
         for i, j in self._diagonals:
@@ -115,6 +121,15 @@ class Dissection:
             if j - i < 2 or (i == 1 and j == self._n):
                 raise SideAsDiagonal((i, j))
         ds = self._diagonals
+        open_rights: list[int] = []
+        for a, b in sorted(ds, key=lambda p: (p[0], -p[1])):
+            while open_rights and open_rights[-1] <= a:
+                open_rights.pop()
+            if open_rights and open_rights[-1] < b:
+                break
+            open_rights.append(b)
+        else:
+            return
         for x in range(len(ds)):
             for y in range(x + 1, len(ds)):
                 if _crosses(ds[x], ds[y]):

@@ -194,9 +194,13 @@ def theorem_sweep(
             conversely (for n <= converse_hi) every -Id solution with entries
             <= n - 2 and that sum is a triangulation quiddity.
     thm3    the quiddities of dissections with all cell sizes divisible by 3
+            (Ovsienko 2018) multiply to +/-Id; for n <= converse_hi they
             coincide with the +/-Id solutions with entries <= n - 2.
     remark  every solution with an odd entry is realized by a triangulation
             with the exact quiddity.
+
+    ``converse_hi`` gates the (n-2)^n integer search of thm2 and thm3, so
+    above it only the forward direction is checked and no n is vacuous.
     """
     if which not in SWEEP_NAMES:
         raise ValueError(f"unknown sweep {which!r}; expected one of {SWEEP_NAMES}")
@@ -241,12 +245,17 @@ def theorem_sweep(
             for d in enumerate_dissections(n, kind="3d", cap=polygon_cap):
                 checked += 1
                 quiddities.add(d.quiddity_cc())
-            solutions = {s for s, _ in solutions_pm_identity(n, cap=int_cap)}
-            checked += len(solutions)
-            for q in sorted(quiddities - solutions):
-                bad.append(f"n={n}: quiddity {format_seq(q)} is not a +/-Id solution")
-            for s in sorted(solutions - quiddities):
-                bad.append(f"n={n}: solution {format_seq(s)} is not a 3d quiddity")
+            if n <= converse_hi:
+                solutions = {s for s, _ in solutions_pm_identity(n, cap=int_cap)}
+                checked += len(solutions)
+                for q in sorted(quiddities - solutions):
+                    bad.append(f"n={n}: quiddity {format_seq(q)} is not a +/-Id solution")
+                for s in sorted(solutions - quiddities):
+                    bad.append(f"n={n}: solution {format_seq(s)} is not a 3d quiddity")
+            else:
+                for q in sorted(quiddities):
+                    if classify_pm_identity(m_product(q)) is MatClass.OTHER:
+                        bad.append(f"n={n}: quiddity {format_seq(q)} is not a +/-Id solution")
         elif which == "remark":
             if n < 3:
                 continue

@@ -16,7 +16,15 @@ any sequence to a short remainder; a sequence is a solution exactly when
 the remainder is (0,0) or (1,1,1).  Replaying the recorded steps forward,
 gluing a triangle per inverse-a step and a quadrilateral per inverse-b
 step, rebuilds the sequence as the parity quiddity of an explicit
-dissection into triangles and quadrilaterals.
+dissection into triangles and quadrilaterals: Conway--Coxeter ear-cutting
+run backwards.
+
+Both halves are linear apart from list inserts and deletes.  ``_reduce``
+edits one list with a scan pointer: removing the smallest 1 at index i can
+create a new 1 only at index i - 1, or at 0 when the pivot was last.
+``_glue`` keeps the polygon as a cyclic list of stable vertex ids, so
+labels are assigned once at the end, and the finished dissection is
+validated once: every intermediate polygon is a sub-dissection of it.
 
 Matrix invariance of ``alpha``/``op_a`` is a local two-factor identity, so
 it holds for insertion positions 1 <= i <= n-1; at the wrap position i = n
@@ -33,7 +41,6 @@ from .algebra import (
     as_int_seq,
     as_mod2_seq,
     format_seq,
-    is_gamma2_solution,
     parse_mod2_seq,
 )
 from .dissections import Dissection
@@ -105,13 +112,11 @@ class SurgeryStep:
     """One rewrite: kind in {"A", "B", "InvA", "InvB"}, 1-based index.
 
     For an ``InvA`` step the index is the pivot position that was removed;
-    for ``InvB`` the position of the first removed zero.  Integer B-splits
-    carry the split pair.
+    for ``InvB`` the position of the first removed zero.
     """
 
     kind: str
     index: int
-    split: tuple[int, int] | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,18 +181,78 @@ def beta(seq, i: int, split: tuple[int, int] | None = None) -> IntSeq:
     return s[: i - 1] + (left, 1, 1, right) + s[i:]
 
 
-def _insert_one(s: Mod2Seq, pos: int) -> Mod2Seq:
-    """Insert a 1 at 1-based position pos and flip both cyclic neighbors."""
-    t = list(s[: pos - 1]) + [1] + list(s[pos - 1 :])
-    m = len(t)
-    t[(pos - 2) % m] ^= 1
-    t[pos % m] ^= 1
-    return tuple(t)
+_BASES = ((0, 0), (1, 1, 1))
+
+# a step of kind _STEP_KINDS[k - 1] replays as k inserted vertices: a (k+2)-gon
+_STEP_KINDS = ("InvA", "InvB")
 
 
-def _insert_zero_pair(s: Mod2Seq, pos: int) -> Mod2Seq:
-    """Insert 0, 0 at 1-based positions pos, pos+1."""
-    return s[: pos - 1] + (0, 0) + s[pos - 1 :]
+def _reduce(bits: Mod2Seq, keep_odd: bool) -> tuple[list[tuple[int, int]], Mod2Seq]:
+    """Apply inverse surgeries until length <= 3 or no pivot is usable.
+
+    The pivot rule: the smallest 1 (``reduce_to_base``), or with
+    ``keep_odd`` the smallest 1 whose removal leaves some 1
+    (``realize_triangulation``); with no 1 left, the 0, 0 pair at index 1
+    goes.  Returns the steps applied as (k, 1-based index) pairs, k = 1 for
+    inverse-a and k = 2 for inverse-b, and the remainder.
+    """
+    t = list(bits)
+    ones = sum(t)
+    steps = []
+    p = 0  # every entry before index p is 0
+    while len(t) > 3:
+        if not ones:
+            del t[:2]
+            steps.append((2, 1))
+            continue
+        while not t[p]:
+            p += 1
+        q, m = p, len(t)
+        # with keep_odd, skip 1s whose removal (neighbours flipped) leaves no 1
+        while keep_odd and q < m and not (t[q] and ones + 1 - 2 * (t[q - 1] + t[(q + 1) % m])):
+            q += 1
+        if q == m:
+            break
+        right = (q + 1) % m
+        ones += 1 - 2 * (t[q - 1] + t[right])
+        t[q - 1] ^= 1
+        t[right] ^= 1
+        del t[q]
+        steps.append((1, q + 1))
+        p = 0 if right == 0 else max(p - 1, 0)
+    return steps, tuple(t)
+
+
+def _glue(base_len: int, steps) -> tuple[list[int], list[tuple[int, int]]]:
+    """Replay (k, pos) steps on a cyclic list of stable vertex ids 0, 1, ...
+
+    Each step inserts k fresh ids at 1-based ``pos`` in 1..m+1, gluing a
+    (k+2)-gon onto the edge between the old cyclic neighbours at 0-based
+    pos - 2 and pos - 1.  Returns the final order and that edge per step.
+    """
+    order = list(range(base_len))
+    edges = []
+    for k, pos in steps:
+        m = len(order)
+        if not 1 <= pos <= m + 1:
+            raise SurgeryError(f"insertion position {pos} out of range 1..{m + 1}")
+        edges.append((order[pos - 2], order[(pos - 1) % m]))
+        order[pos - 1 : pos - 1] = range(m, m + k)
+    return order, edges
+
+
+def _replay(base: Mod2Seq, steps: list[tuple[int, int]]) -> Mod2Seq:
+    """Per (k, pos) step insert a 1 and flip its neighbours (k = 1) or 0, 0 (k = 2)."""
+    order, edges = _glue(len(base), steps)
+    bits = list(base) + [0] * (len(order) - len(base))
+    fresh = len(base)
+    for (k, _), (a, b) in zip(steps, edges):
+        if k == 1:
+            bits[fresh] = 1
+            bits[a] ^= 1
+            bits[b] ^= 1
+        fresh += k
+    return tuple(bits[v] for v in order)
 
 
 def op_a(seq, i: int) -> Mod2Seq:
@@ -197,14 +262,14 @@ def op_a(seq, i: int) -> Mod2Seq:
     _check_index(i, n)
     if n == 1:
         return ((s[0] + 1) % 2, 1, (s[0] + 1) % 2)
-    return _insert_one(s, i + 1)
+    return _replay(s, [(1, i + 1)])
 
 
 def op_b(seq, i: int) -> Mod2Seq:
     """Mod-2 quadrilateral gluing: insert 0, 0 after position i."""
     s = as_mod2_seq(seq)
     _check_index(i, len(s))
-    return _insert_zero_pair(s, i + 1)
+    return _replay(s, [(2, i + 1)])
 
 
 def inv_a(seq, i: int) -> Mod2Seq:
@@ -240,15 +305,10 @@ def inv_b(seq, i: int) -> Mod2Seq:
 
 def apply_step(seq, step: SurgeryStep):
     """Apply a single surgery step by kind at its index."""
-    if step.kind == "A":
-        return op_a(seq, step.index)
-    if step.kind == "B":
-        return op_b(seq, step.index)
-    if step.kind == "InvA":
-        return inv_a(seq, step.index)
-    if step.kind == "InvB":
-        return inv_b(seq, step.index)
-    raise SurgeryError(f"unknown step kind {step.kind!r}")
+    ops = {"A": op_a, "B": op_b, "InvA": inv_a, "InvB": inv_b}
+    if step.kind not in ops:
+        raise SurgeryError(f"unknown step kind {step.kind!r}")
+    return ops[step.kind](seq, step.index)
 
 
 def reduce_to_base(seq) -> ReduceResult:
@@ -259,19 +319,11 @@ def reduce_to_base(seq) -> ReduceResult:
     remainder is (0, 0) or (1, 1, 1); a length-1 remainder always rejects.
     Rejection is a result, not an error.
     """
-    s = as_mod2_seq(seq)
-    steps: list[SurgeryStep] = []
-    while len(s) > 3:
-        if 1 in s:
-            pivot = s.index(1) + 1
-            steps.append(SurgeryStep("InvA", pivot))
-            s = inv_a(s, pivot)
-        else:
-            steps.append(SurgeryStep("InvB", 1))
-            s = inv_b(s, 1)
-    accepted = s == (0, 0) or s == (1, 1, 1)
-    trace = SurgeryTrace(base=s, steps=tuple(steps)) if accepted else None
-    return ReduceResult(accepted, trace, s)
+    steps, rest = _reduce(as_mod2_seq(seq), keep_odd=False)
+    if rest not in _BASES:
+        return ReduceResult(False, None, rest)
+    trace = SurgeryTrace(rest, tuple(SurgeryStep(_STEP_KINDS[k - 1], i) for k, i in steps))
+    return ReduceResult(True, trace, rest)
 
 
 def replay_trace(trace: SurgeryTrace) -> Mod2Seq:
@@ -281,74 +333,68 @@ def replay_trace(trace: SurgeryTrace) -> Mod2Seq:
     position (neighbors flipped); each ``InvB`` step by re-inserting the
     0, 0 pair.  Steps are undone last-to-first.
     """
-    s = tuple(trace.base)
+    steps = []
     for step in reversed(trace.steps):
-        if step.kind == "InvA":
-            s = _insert_one(s, step.index)
-        elif step.kind == "InvB":
-            s = _insert_zero_pair(s, step.index)
-        else:
+        if step.kind not in _STEP_KINDS:
             raise SurgeryError(f"cannot replay step kind {step.kind!r}")
-    return s
+        steps.append((_STEP_KINDS.index(step.kind) + 1, step.index))
+    return _replay(as_mod2_seq(trace.base), steps)
 
 
 def trace_to_json_dict(trace: SurgeryTrace) -> dict:
-    steps = []
-    for step in trace.steps:
-        entry: dict = {"kind": step.kind, "index": step.index}
-        if step.split is not None:
-            entry["split"] = list(step.split)
-        steps.append(entry)
+    steps = [{"kind": step.kind, "index": step.index} for step in trace.steps]
     return {"schema": 1, "base": format_seq(trace.base), "steps": steps}
 
 
 def trace_from_json_dict(data: dict) -> SurgeryTrace:
+    """Parse a trace object; it is replayed once, so every index is in range."""
+    if not isinstance(data, dict):
+        raise SurgeryError("trace JSON must be an object")
     if data.get("schema", 1) != 1:
         raise SurgeryError(f"unsupported schema {data.get('schema')!r}")
-    base = parse_mod2_seq(data["base"])
-    steps = tuple(
-        SurgeryStep(
-            entry["kind"],
-            int(entry["index"]),
-            tuple(entry["split"]) if "split" in entry else None,
-        )
-        for entry in data["steps"]
-    )
-    return SurgeryTrace(base=base, steps=steps)
+    try:
+        base_text, entries = data["base"], data["steps"]
+    except KeyError as exc:
+        raise SurgeryError(f"trace JSON missing key {exc}") from None
+    if not isinstance(base_text, str) or not isinstance(entries, list):
+        raise SurgeryError("'base' must be a 0/1 string and 'steps' a list")
+    try:
+        base = parse_mod2_seq(base_text)
+    except ValueError as exc:
+        raise SurgeryError(str(exc)) from None
+    for entry in entries:
+        if not (
+            isinstance(entry, dict)
+            and entry.keys() == {"kind", "index"}
+            and entry["kind"] in _STEP_KINDS
+            and type(entry["index"]) is int
+        ):
+            raise SurgeryError(f"bad trace step {entry!r}: need kind InvA or InvB and an int index")
+    trace = SurgeryTrace(base, tuple(SurgeryStep(e["kind"], e["index"]) for e in entries))
+    replay_trace(trace)
+    return trace
 
 
-def _glue_triangle(d: Dissection, pos: int) -> Dissection:
-    """Glue a triangle so the new vertex gets label ``pos`` in 1..n+1.
-
-    Old labels >= pos shift up by one; the old boundary edge between the
-    new vertex's neighbors becomes a diagonal.
-    """
-    m = d.n
-    diagonals = [
-        (a + (a >= pos), b + (b >= pos)) for a, b in d.diagonals
-    ]
-    if pos == 1:
-        diagonals.append((2, m + 1))
-    elif pos == m + 1:
-        diagonals.append((1, m))
-    else:
-        diagonals.append((pos - 1, pos + 1))
-    return Dissection(m + 1, diagonals)
-
-
-def _glue_quadrilateral(d: Dissection, pos: int) -> Dissection:
-    """Glue a quadrilateral; the two new vertices get labels pos, pos+1."""
-    m = d.n
-    diagonals = [
-        (a + 2 * (a >= pos), b + 2 * (b >= pos)) for a, b in d.diagonals
-    ]
-    if pos == 1:
-        diagonals.append((3, m + 2))
-    elif pos == m + 1:
-        diagonals.append((1, m))
-    else:
-        diagonals.append((pos - 1, pos + 2))
-    return Dissection(m + 2, diagonals)
+def _realize(seq, triangulate: bool) -> Dissection:
+    """Reduce ``seq``, then glue one cell per step, last step first, onto the base."""
+    s = as_mod2_seq(seq)
+    if len(s) < 3:
+        raise TooShort(f"need length >= 3 to realize a polygon, got {len(s)}")
+    steps, base = _reduce(s, keep_odd=False)
+    if base not in _BASES:
+        raise NotASolution(base)
+    if triangulate:
+        if 1 not in s:
+            raise AllEven(f"{format_seq(s)} has no odd entry; no triangulation exists")
+        steps, base = _reduce(s, keep_odd=True)
+        if base != (1, 1, 1):
+            raise SurgeryError(f"descent ended at {format_seq(base)} instead of 1,1,1")
+    # base (0, 0): the last reduction step removed the final 0,0 pair of an
+    # all-zero quadruple, so its replay is the quadrilateral itself
+    n0, steps = (3, steps) if base == (1, 1, 1) else (4, steps[:-1])
+    order, edges = _glue(n0, reversed(steps))
+    label = {v: position for position, v in enumerate(order, 1)}
+    return Dissection(len(order), [(label[a], label[b]) for a, b in edges])
 
 
 def realize_dissection(seq) -> Dissection:
@@ -360,26 +406,7 @@ def realize_dissection(seq) -> Dissection:
     later step glues a triangle or a quadrilateral.  The quiddity equality
     is exact on labels, not just up to rotation.
     """
-    s = as_mod2_seq(seq)
-    if len(s) < 3:
-        raise TooShort(f"need length >= 3 to realize a polygon, got {len(s)}")
-    result = reduce_to_base(s)
-    if not result.is_solution:
-        raise NotASolution(result.remainder)
-    steps = list(result.trace.steps)
-    if result.trace.base == (1, 1, 1):
-        d = Dissection(3)
-    else:
-        # base (0, 0): the last reduction step removed the final 0,0 pair of
-        # an all-zero quadruple, so its replay is the quadrilateral itself
-        d = Dissection(4)
-        steps = steps[:-1]
-    for step in reversed(steps):
-        if step.kind == "InvA":
-            d = _glue_triangle(d, step.index)
-        else:
-            d = _glue_quadrilateral(d, step.index)
-    return d
+    return _realize(seq, triangulate=False)
 
 
 def realize_triangulation(seq) -> Dissection:
@@ -390,34 +417,4 @@ def realize_triangulation(seq) -> Dissection:
     sequence; when the first candidate fails, the entry right after it is
     also a 1 and succeeds, so the descent always reaches (1, 1, 1).
     """
-    s = as_mod2_seq(seq)
-    if len(s) < 3:
-        raise TooShort(f"need length >= 3 to realize a polygon, got {len(s)}")
-    result = reduce_to_base(s)
-    if not result.is_solution:
-        raise NotASolution(result.remainder)
-    if 1 not in s:
-        raise AllEven(f"{format_seq(s)} has no odd entry; no triangulation exists")
-
-    pivots: list[int] = []
-    t = s
-    while len(t) > 3:
-        pivot = None
-        for i in range(1, len(t) + 1):
-            if t[i - 1] != 1:
-                continue
-            candidate = inv_a(t, i)
-            if any(candidate):
-                pivot = i
-                t = candidate
-                break
-        if pivot is None:
-            raise SurgeryError(f"no usable pivot in {format_seq(t)}")
-        pivots.append(pivot)
-    if t != (1, 1, 1):
-        raise SurgeryError(f"descent ended at {format_seq(t)} instead of 1,1,1")
-
-    d = Dissection(3)
-    for pivot in reversed(pivots):
-        d = _glue_triangle(d, pivot)
-    return d
+    return _realize(seq, triangulate=True)

@@ -216,6 +216,22 @@ def test_enumerate_cap_exceeded(capsys, monkeypatch):
     assert run(capsys, "enumerate", "5")[0] == 0
 
 
+def test_enumerate_thm3_past_the_integer_cap(capsys):
+    code, out, _ = run(capsys, "enumerate", "9", "--sweep", "thm3")
+    assert code == 0
+    assert out.startswith("sweep=thm3 range=3..9 ")
+    assert out.rstrip().endswith("counterexamples=0")
+
+
+@pytest.mark.parametrize("name", ["QUIDDITY_MOD2_CAP", "QUIDDITY_POLYGON_CAP", "QUIDDITY_INT_CAP"])
+def test_non_integer_cap_is_a_usage_error(capsys, monkeypatch, name):
+    monkeypatch.setenv(name, "twelve")
+    code, out, err = run(capsys, "check", "1,1,1", "--pm")
+    assert code == 2
+    assert out == ""
+    assert err == f"quiddity: {name} must be an integer, got 'twelve'\n"
+
+
 def test_batch_file_input(tmp_path, capsys):
     batch = tmp_path / "seqs.txt"
     batch.write_text("1,1,1\n# comment\n2,2\n")

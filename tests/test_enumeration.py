@@ -148,6 +148,15 @@ def test_theorem_sweeps_find_no_counterexamples():
         theorem_sweep("thm4")
 
 
+def test_thm3_above_converse_hi_checks_products():
+    # n = 9 is past the integer-search cap; the 3d quiddities are still checked
+    report = theorem_sweep("thm3", 9, 9)
+    assert report.ok
+    assert report.checked > 0
+    # with the gate lowered, n = 6 checks only the 3d dissections
+    assert theorem_sweep("thm3", 6, 6, converse_hi=5).checked < theorem_sweep("thm3", 6, 6).checked
+
+
 def test_sweep_reports_checked_counts():
     report = theorem_sweep("thm1i", 3, 4)
     # 1 triangle dissection, 3 quadrilateral dissections

@@ -1,6 +1,7 @@
 """Surgery operations, the reduction decision procedure, and realization."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from quiddity import (
     NotASolution,
     PairNotZero,
     PivotNotOne,
+    SurgeryError,
     SurgeryStep,
     SurgeryTrace,
     TooShort,
@@ -197,6 +199,53 @@ def test_trace_json_round_trip():
     assert data["base"] == "0,0"
     assert data["steps"] == [{"kind": "InvA", "index": 1}, {"kind": "InvB", "index": 1}]
     assert trace_from_json_dict(data) == trace
+
+
+def test_trace_json_round_trip_exhaustive():
+    for n in range(2, 10):
+        for seq in _all_mod2(n):
+            result = reduce_to_base(seq)
+            if not result.is_solution:
+                continue
+            data = json.loads(json.dumps(trace_to_json_dict(result.trace)))
+            trace = trace_from_json_dict(data)
+            assert trace == result.trace
+            assert replay_trace(trace) == seq
+
+
+@pytest.mark.parametrize("data", [
+    [],
+    {"steps": []},
+    {"base": "0,0"},
+    {"base": "0,0", "steps": {"kind": "InvB", "index": 1}},
+    {"base": 0, "steps": []},
+    {"base": "0,2", "steps": []},
+    {"base": "0,0", "steps": [["InvB", 1]]},
+    {"base": "0,0", "steps": [{"kind": "InvB"}]},
+    {"base": "0,0", "steps": [{"kind": "InvB", "index": 1, "split": [1, 1]}]},
+    {"base": "0,0", "steps": [{"kind": "InvB", "index": "1"}]},
+    {"base": "0,0", "steps": [{"kind": "InvB", "index": 1.0}]},
+    {"base": "0,0", "steps": [{"kind": "InvB", "index": True}]},
+    {"base": "0,0", "steps": [{"kind": "A", "index": 1}]},
+    {"base": "0,0", "steps": [{"kind": "Glue", "index": 1}]},
+    {"base": "0,0", "steps": [{"kind": ["InvA"], "index": 1}]},
+    {"base": "0,0", "steps": [{"kind": "InvA", "index": 0}]},
+    {"base": "0,0", "steps": [{"kind": "InvA", "index": 4}]},
+    # the first step is replayed last: the 0,0 pair lands on a 4-gon, so 6 is out of range
+    {"base": "0,0", "steps": [{"kind": "InvA", "index": 6}, {"kind": "InvB", "index": 1}]},
+    {"schema": 2, "base": "0,0", "steps": []},
+])
+def test_trace_from_json_rejects_malformed(data):
+    with pytest.raises(SurgeryError):
+        trace_from_json_dict(data)
+
+
+def test_trace_from_json_accepts_edge_indices():
+    # inserting at m + 1 appends; replay stays the inverse of the log
+    data = {"base": "1,1,1", "steps": [{"kind": "InvA", "index": 6}, {"kind": "InvB", "index": 4}]}
+    trace = trace_from_json_dict(data)
+    assert replay_trace(trace) == (0, 1, 1, 0, 1, 1)
+    assert inv_b(inv_a(replay_trace(trace), 6), 4) == (1, 1, 1)
 
 
 def test_realize_base_cases():

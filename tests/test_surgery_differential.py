@@ -1,0 +1,132 @@
+"""The linear-time surgery core and stack-based validation against the
+frozen reference implementations in ``seed_surgery``."""
+
+import itertools
+import random
+
+import pytest
+
+import quiddity.dissections as dissections
+import seed_surgery as seed
+from quiddity import (
+    Dissection,
+    DissectionError,
+    SurgeryError,
+    is_gamma2_solution,
+    realize_dissection,
+    realize_triangulation,
+    reduce_to_base,
+    replay_trace,
+    trace_to_json_dict,
+)
+
+
+def _outcome(fn, *args):
+    """The result as (n, diagonals), or the exception's type name and message."""
+    try:
+        d = fn(*args)
+    except (SurgeryError, DissectionError) as exc:
+        return type(exc).__name__, str(exc)
+    return d.n, d.diagonals
+
+
+def test_surgery_matches_reference_on_all_words_to_length_12():
+    errors = set()
+    for n in range(1, 13):
+        for seq in itertools.product((0, 1), repeat=n):
+            result = reduce_to_base(seq)
+            got = trace_to_json_dict(result.trace) if result.is_solution else None
+            assert got == seed.trace_json(seq), seq
+            if result.is_solution:
+                assert replay_trace(result.trace) == seq
+            for new, old in (
+                (realize_dissection, seed.realize_dissection),
+                (realize_triangulation, seed.realize_triangulation),
+            ):
+                outcome = _outcome(new, seq)
+                assert outcome == _outcome(old, seq), (new.__name__, seq)
+                if isinstance(outcome[0], str):
+                    errors.add(outcome[0])
+    # every error path was exercised
+    assert errors == {"TooShort", "NotASolution", "AllEven"}
+
+
+def _random_solution(n, seed_value):
+    rng = random.Random(seed_value)
+    while True:
+        seq = tuple(rng.randint(0, 1) for _ in range(n))
+        if is_gamma2_solution(seq):
+            return seq
+
+
+def _validate(n, diagonals):
+    return Dissection(n, diagonals, check=False).validate()
+
+
+def _reference_validate(n, diagonals):
+    return seed.pairwise_validate(Dissection(n, diagonals, check=False))
+
+
+def _crossing_pair(fn, n, diagonals):
+    try:
+        fn(n, diagonals)
+    except DissectionError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "first", None), getattr(exc, "second", None)
+    return None
+
+
+def test_validate_matches_pairwise_scan_on_random_sets():
+    rng = random.Random(20)
+    kinds = set()
+    for _ in range(6000):
+        n = rng.randint(3, 12)
+        proper = [
+            (i, j)
+            for i in range(1, n - 1)
+            for j in range(i + 2, n + 1)
+            if (i, j) != (1, n)
+        ]
+        if rng.random() < 0.8:
+            # mostly well-formed diagonals, so the crossing test decides
+            diagonals = rng.sample(proper, rng.randint(0, min(len(proper), n)))
+        else:
+            diagonals = [
+                (rng.randint(0, n + 1), rng.randint(0, n + 1)) for _ in range(rng.randint(1, 4))
+            ]
+            diagonals = [(a, b) for a, b in diagonals if a != b]
+        got = _crossing_pair(_validate, n, diagonals)
+        assert got == _crossing_pair(_reference_validate, n, diagonals), (n, diagonals)
+        kinds.add(got[0] if got else None)
+    assert {None, "CrossingDiagonals", "SideAsDiagonal", "DiagonalOutOfRange"} <= kinds
+
+
+def test_validate_scans_pairs_only_on_a_crossing(monkeypatch):
+    valid = [d for n in range(3, 9) for d in dissections.enumerate_dissections(n)]
+    valid.append(realize_dissection(_random_solution(500, 1)))
+    calls = []
+    original = dissections._crosses
+
+    def counted(p, q):
+        calls.append((p, q))
+        return original(p, q)
+
+    monkeypatch.setattr(dissections, "_crosses", counted)
+    for d in valid:
+        d.validate()
+    assert calls == []
+
+    with pytest.raises(dissections.CrossingDiagonals):
+        _validate(6, [(1, 3), (2, 5), (3, 5)])
+    assert calls
+
+
+@pytest.mark.parametrize("realize, cells_ok", [
+    (realize_dissection, lambda flags: flags.is_34),
+    (realize_triangulation, lambda flags: flags.is_triangulation),
+])
+def test_realizes_a_large_solution(realize, cells_ok):
+    seq = _random_solution(20_000, 2)
+    d = realize(seq)
+    assert d.n == len(seq)
+    assert cells_ok(d.classify())
+    assert d.quiddity_mod2() == seq
