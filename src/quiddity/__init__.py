@@ -45,7 +45,6 @@ from .dissections import (
     DissectionError,
     DissectionFlags,
     SideAsDiagonal,
-    dissection_from_json,
     enumerate_dissections,
 )
 from .enumeration import (

@@ -2,14 +2,17 @@
 
 The central object is the left-to-right product
 
-    M(c_1, ..., c_n) = [[c_1, -1], [1, 0]] ... [[c_n, -1], [1, 0]],
+    M(c_1, ..., c_n) = [[c_1, -1], [1, 0]] ... [[c_n, -1], [1, 0]].
 
-computed either over the integers (``Mat2``, exact bignum entries) or over
-``Z/NZ`` (``Mat2Mod``, entries reduced at every step so nothing grows).
+One fold, ``_fold``, computes every such product on a plain int 4-tuple,
+over the integers or reduced mod N after each step; the value types
+``Mat2`` (exact bignum entries) and ``Mat2Mod`` (canonical residues in
+``Z/NZ``) are built only at the API boundary.  Entries are read with
+``operator.index``, so floats and strings raise ``TypeError``.
 On top of that sit the classification of a product against ``+Id``/``-Id``,
-the entry-wise congruence test that defines the level-``N`` principal
-congruence subgroup, and the rewriting of words in the standard generators
-``T``, ``S`` into sequences of positive integers.
+the congruence test that defines the level-``N`` principal congruence
+subgroup, and the rewriting of words in the standard generators ``T``,
+``S`` into sequences of positive integers.
 
 Sequences are plain tuples of ints, cyclically indexed where noted; the
 indexing convention throughout the package is 1-based, matching the usual
@@ -17,6 +20,7 @@ subscripts ``c_1, ..., c_n``.
 """
 
 import enum
+import operator
 from dataclasses import dataclass
 
 IntSeq = tuple[int, ...]
@@ -112,17 +116,6 @@ class Mat2Mod:
     def identity(cls, modulus: int) -> "Mat2Mod":
         return cls(1, 0, 0, 1, modulus)
 
-    def __mul__(self, other: "Mat2Mod") -> "Mat2Mod":
-        if self.modulus != other.modulus:
-            raise ValueError("cannot multiply matrices over different moduli")
-        return Mat2Mod(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-            self.modulus,
-        )
-
     def __str__(self) -> str:
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
 
@@ -140,15 +133,25 @@ def elementary_matrix(c: int) -> Mat2:
     return Mat2(c, -1, 1, 0)
 
 
+def _fold(entries, modulus=None) -> tuple[int, int, int, int]:
+    """M(entries) as (a, b, c, d), reduced mod ``modulus`` after each step if given.
+
+    Each factor maps (a, b, c, d) to (a*e + b, -a, c*e + d, -c).
+    """
+    a, b, c, d = 1, 0, 0, 1
+    for e in map(operator.index, entries):
+        a, b, c, d = a * e + b, -a, c * e + d, -c
+        if modulus:
+            a, b, c, d = a % modulus, b % modulus, c % modulus, d % modulus
+    return a, b, c, d
+
+
 def m_product(seq) -> Mat2:
     """Left-to-right product of elementary factors for the given entries."""
     entries = tuple(seq)
     if not entries:
         raise ValueError("m_product requires a nonempty sequence")
-    m = MAT_IDENTITY
-    for c in entries:
-        m = m * elementary_matrix(int(c))
-    return m
+    return Mat2(*_fold(entries))
 
 
 def m_product_mod(seq, modulus: int) -> Mat2Mod:
@@ -159,10 +162,9 @@ def m_product_mod(seq, modulus: int) -> Mat2Mod:
     entries = tuple(seq)
     if not entries:
         raise ValueError("m_product_mod requires a nonempty sequence")
-    m = Mat2Mod.identity(modulus)
-    for c in entries:
-        m = m * Mat2Mod(int(c), -1, 1, 0, modulus)
-    return m
+    if modulus < 2:
+        raise ValueError(f"modulus must be at least 2, got {modulus}")
+    return Mat2Mod(*_fold(entries, modulus), modulus)
 
 
 def classify_pm_identity(m: Mat2) -> MatClass:
@@ -176,14 +178,7 @@ def classify_pm_identity(m: Mat2) -> MatClass:
 
 def in_principal_congruence(m: Mat2, modulus: int) -> bool:
     """True iff every entry of ``m - Id`` is divisible by ``modulus``."""
-    if modulus < 2:
-        raise ValueError(f"modulus must be at least 2, got {modulus}")
-    return (
-        (m.a - 1) % modulus == 0
-        and m.b % modulus == 0
-        and m.c % modulus == 0
-        and (m.d - 1) % modulus == 0
-    )
+    return m.mod(modulus) == Mat2Mod.identity(modulus)
 
 
 def is_gamma2_solution(seq) -> bool:
@@ -193,7 +188,10 @@ def is_gamma2_solution(seq) -> bool:
     length-1 sequence is never a solution (the product has a 0 in the
     bottom-right corner).
     """
-    return m_product_mod(seq, 2) == Mat2Mod.identity(2)
+    entries = tuple(seq)
+    if not entries:
+        raise ValueError("is_gamma2_solution requires a nonempty sequence")
+    return _fold(entries, 2) == (1, 0, 0, 1)
 
 
 # Words in the standard generators.  S^-1 = -S because S^2 = -Id, which is

@@ -17,11 +17,10 @@ import os
 import sys
 
 from .algebra import (
+    Mat2Mod,
     MatClass,
     classify_pm_identity,
     format_seq,
-    in_principal_congruence,
-    is_gamma2_solution,
     m_product,
     m_product_mod,
     parse_int_seq,
@@ -143,10 +142,8 @@ def _cmd_check(args) -> int:
                 print(f"M({format_seq(seq)}) = {m}")
                 print(verdict.value)
         else:
-            if args.mod < 2:
-                raise ValueError(f"modulus must be at least 2, got {args.mod}")
             m = m_product_mod(seq, args.mod)
-            member = in_principal_congruence(m_product(seq), args.mod)
+            member = m == Mat2Mod.identity(args.mod)
             if args.json:
                 _emit({
                     "schema": 1,
@@ -167,7 +164,7 @@ def _cmd_check_mod2(args) -> int:
     for text in _sequences(args.sequence):
         seq = parse_mod2_seq(text)
         m = m_product_mod(seq, 2)
-        solution = is_gamma2_solution(seq)
+        solution = m == Mat2Mod.identity(2)
         if args.json:
             _emit({
                 "schema": 1,
@@ -328,10 +325,7 @@ def main(argv=None) -> int:
         if args.command == "enumerate":
             return _cmd_enumerate(args, caps)
         raise AssertionError(f"unhandled command {args.command}")
-    except (NotASolution, AllEven) as exc:
-        print(f"quiddity: {exc}", file=sys.stderr)
-        return 1
-    except FriezeError as exc:
+    except (NotASolution, AllEven, FriezeError) as exc:
         print(f"quiddity: {exc}", file=sys.stderr)
         return 1
     except (CapExceeded, DissectionError, SurgeryError, ValueError, OSError) as exc:

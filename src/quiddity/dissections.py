@@ -28,7 +28,6 @@ __all__ = [
     "CapExceeded",
     "DissectionFlags",
     "Dissection",
-    "dissection_from_json",
     "enumerate_dissections",
 ]
 
@@ -225,6 +224,11 @@ class Dissection:
             isinstance(p, (list, tuple)) and len(p) == 2 for p in diagonals
         ):
             raise DissectionError("'diagonals' must be a list of vertex pairs")
+        if type(n) is not int:
+            raise DissectionError(f"'n' must be an integer, got {n!r}")
+        for p in diagonals:
+            if not all(type(v) is int for v in p):
+                raise DissectionError(f"diagonal endpoints must be integers, got {p!r}")
         return cls(n, diagonals)
 
     @classmethod
@@ -257,10 +261,6 @@ class Dissection:
             lines.append(f"  {i} -- {j};")
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-
-def dissection_from_json(text: str) -> Dissection:
-    return Dissection.from_json(text)
 
 
 _KINDS = ("all", "triangulation", "34", "3d")

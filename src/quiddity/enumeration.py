@@ -201,9 +201,12 @@ def theorem_sweep(
 
     ``converse_hi`` gates the (n-2)^n integer search of thm2 and thm3, so
     above it only the forward direction is checked and no n is vacuous.
+    A range holding no n >= 3 raises ``ValueError``, so no sweep is vacuous.
     """
     if which not in SWEEP_NAMES:
         raise ValueError(f"unknown sweep {which!r}; expected one of {SWEEP_NAMES}")
+    if max(n_lo, 3) > n_hi:
+        raise ValueError(f"sweep range {n_lo}..{n_hi} contains no polygon size n >= 3")
     checked = 0
     bad: list[str] = []
 

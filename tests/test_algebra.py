@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quiddity import (
     GroupWord,
@@ -43,15 +44,62 @@ def _mul(x, y):
     )
 
 
-def _product_oracle(seq):
+def _product_oracle(seq, modulus=None):
+    """The exact product, reduced once at the end when a modulus is given."""
     m = (1, 0, 0, 1)
     for c in seq:
         m = _mul(m, (c, -1, 1, 0))
+    if modulus is not None:
+        m = tuple(x % modulus for x in m)
     return m
 
 
 def _as_tuple(m: Mat2):
     return (m.a, m.b, m.c, m.d)
+
+
+def _check_against_oracle(seq):
+    """m_product, m_product_mod for N = 2..7 and is_gamma2_solution agree with the oracle."""
+    assert _as_tuple(m_product(seq)) == _product_oracle(seq)
+    for modulus in range(2, 8):
+        m = m_product_mod(seq, modulus)
+        assert (m.a, m.b, m.c, m.d, m.modulus) == _product_oracle(seq, modulus) + (modulus,)
+    assert is_gamma2_solution(seq) == (_product_oracle(seq, 2) == (1, 0, 0, 1))
+
+
+def test_products_match_oracle_exhaustively_with_zero_and_negative_entries():
+    for n in range(1, 6):
+        for seq in itertools.product(range(-2, 5), repeat=n):
+            _check_against_oracle(seq)
+
+
+def test_products_match_oracle_on_long_random_words():
+    rng = random.Random(15)
+    for _ in range(4):
+        _check_against_oracle(tuple(rng.randint(-3, 6) for _ in range(2000)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=40))
+def test_products_match_oracle_property(seq):
+    _check_against_oracle(tuple(seq))
+
+
+@pytest.mark.parametrize("bad", [(3, 2.7), ("3", 2), (2.0,)])
+@pytest.mark.parametrize(
+    "product",
+    [m_product, lambda seq: m_product_mod(seq, 3), is_gamma2_solution],
+    ids=["m_product", "m_product_mod", "is_gamma2_solution"],
+)
+def test_products_reject_non_integer_entries(product, bad):
+    with pytest.raises(TypeError):
+        product(bad)
+
+
+def test_products_accept_bool_entries_as_ints():
+    assert m_product((True, True, True)) == MAT_MINUS_IDENTITY
+    assert m_product_mod((True, False, True, False), 2) == Mat2Mod.identity(2)
+    assert is_gamma2_solution((False, False))
 
 
 def test_elementary_matrix_examples():

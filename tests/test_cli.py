@@ -1,10 +1,11 @@
 """CLI behavior: verdicts, exit codes, formats, and file round trips."""
 
 import json
+import random
 
 import pytest
 
-from quiddity import Dissection
+from quiddity import Dissection, in_principal_congruence, m_product
 from quiddity.cli import main
 
 
@@ -49,6 +50,22 @@ def test_check_flag_validation(capsys):
     assert run(capsys, "check", "1,1,1", "--pm", "--mod", "2")[0] == 2
     assert run(capsys, "check", "1,1,1", "--mod", "1")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
+
+
+@pytest.mark.parametrize("modulus", range(2, 8))
+def test_check_mod_json_member_matches_exact_product(tmp_path, capsys, modulus):
+    rng = random.Random(16)
+    # M(1,1,1,1,1,1) = +Id is a member at every level
+    lines = ["1,1,1", "2,2", "1,2,1,2", "1,3,1,2,2", "1,1,1,1,1,1"]
+    lines += [",".join(str(rng.randint(1, 9)) for _ in range(rng.randint(1, 30))) for _ in range(40)]
+    batch = tmp_path / "seqs.txt"
+    batch.write_text("\n".join(lines) + "\n")
+    code, out, _ = run(capsys, "check", "@" + str(batch), "--mod", str(modulus), "--json")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["sequence"] for r in records] == [[int(c) for c in line.split(",")] for line in lines]
+    for r in records:
+        assert r["member"] == in_principal_congruence(m_product(r["sequence"]), modulus)
+    assert code == (0 if all(r["member"] for r in records) else 1)
 
 
 def test_check_mod2(capsys):
@@ -106,6 +123,27 @@ def test_quiddity_command_errors(tmp_path, capsys):
     assert "(1, 3)" in err and "(2, 4)" in err
     assert run(capsys, "quiddity", str(tmp_path / "missing.json"), "--cc")[0] == 2
     assert run(capsys, "quiddity", str(path))[0] == 2  # --cc or --mod2 required
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 5.7, "diagonals": [[1.9, 3]]}',
+        '{"n": "5", "diagonals": []}',
+        '{"n": true, "diagonals": []}',
+        '{"n": 5, "diagonals": [[1, 3.0]]}',
+        '{"n": 5, "diagonals": [["1", 3]]}',
+        '{"n": 5, "diagonals": [[1, false]]}',
+    ],
+)
+def test_quiddity_command_rejects_non_integer_json(capsys, monkeypatch, text):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "quiddity", "-", "--cc")
+    assert code == 2
+    assert out == ""
+    assert "integer" in err
 
 
 def test_realize_round_trips_through_quiddity(tmp_path, capsys):
@@ -206,6 +244,14 @@ def test_enumerate_sweeps(capsys):
         "thm1i", "thm1ii", "thm2", "thm3", "remark",
     ]
     assert all(s["counterexamples"] == [] for s in data["sweeps"])
+
+
+@pytest.mark.parametrize("n, sweep", [("-3", "thm1i"), ("2", "all"), ("0", "thm1")])
+def test_enumerate_empty_sweep_is_a_usage_error(capsys, n, sweep):
+    code, out, err = run(capsys, "enumerate", n, "--sweep", sweep)
+    assert code == 2
+    assert out == ""
+    assert "contains no polygon size" in err
 
 
 def test_enumerate_cap_exceeded(capsys, monkeypatch):

@@ -208,6 +208,22 @@ def test_json_rejects_bad_input():
         Dissection.from_json('{"n": 4, "diagonals": [[1, 3], [2, 4]]}')
 
 
+NON_INTEGER_JSON = {
+    "float n": '{"n": 5.7, "diagonals": [[1, 3]]}',
+    "string n": '{"n": "5", "diagonals": [[1, 3]]}',
+    "bool n": '{"n": true, "diagonals": []}',
+    "float endpoint": '{"n": 5, "diagonals": [[1.9, 3]]}',
+    "string endpoint": '{"n": 5, "diagonals": [[1, "3"]]}',
+    "bool endpoint": '{"n": 5, "diagonals": [[true, 3]]}',
+}
+
+
+@pytest.mark.parametrize("text", NON_INTEGER_JSON.values(), ids=NON_INTEGER_JSON.keys())
+def test_json_rejects_non_integer_values(text):
+    with pytest.raises(DissectionError, match="must be an integer|must be integers"):
+        Dissection.from_json(text)
+
+
 def test_to_dot():
     d = Dissection(4, [(1, 3)])
     dot = d.to_dot()

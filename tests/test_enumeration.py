@@ -157,6 +157,13 @@ def test_thm3_above_converse_hi_checks_products():
     assert theorem_sweep("thm3", 6, 6, converse_hi=5).checked < theorem_sweep("thm3", 6, 6).checked
 
 
+@pytest.mark.parametrize("which", ["thm1i", "thm1ii", "thm2", "thm3", "remark"])
+@pytest.mark.parametrize("n_lo, n_hi", [(3, -3), (3, 2), (1, 2), (6, 5)])
+def test_empty_sweep_range_is_rejected(which, n_lo, n_hi):
+    with pytest.raises(ValueError, match="contains no polygon size"):
+        theorem_sweep(which, n_lo, n_hi)
+
+
 def test_sweep_reports_checked_counts():
     report = theorem_sweep("thm1i", 3, 4)
     # 1 triangle dissection, 3 quadrilateral dissections
