@@ -7,7 +7,8 @@ The central object is the left-to-right product
 One fold, ``_fold``, computes every such product on a plain int 4-tuple,
 over the integers or reduced mod N after each step; the value types
 ``Mat2`` (exact bignum entries) and ``Mat2Mod`` (canonical residues in
-``Z/NZ``) are built only at the API boundary.  Entries are read with
+``Z/NZ``) are built only at the API boundary.  Entries, moduli and the
+sequences frozen by ``as_int_seq``/``as_mod2_seq`` are read with
 ``operator.index``, so floats and strings raise ``TypeError``.
 On top of that sit the classification of a product against ``+Id``/``-Id``,
 the congruence test that defines the level-``N`` principal congruence
@@ -107,10 +108,11 @@ class Mat2Mod:
     modulus: int
 
     def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be at least 2, got {self.modulus}")
+        modulus = operator.index(self.modulus)
+        if modulus < 2:
+            raise ValueError(f"modulus must be at least 2, got {modulus}")
         for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, getattr(self, name) % self.modulus)
+            object.__setattr__(self, name, getattr(self, name) % modulus)
 
     @classmethod
     def identity(cls, modulus: int) -> "Mat2Mod":
@@ -162,6 +164,7 @@ def m_product_mod(seq, modulus: int) -> Mat2Mod:
     entries = tuple(seq)
     if not entries:
         raise ValueError("m_product_mod requires a nonempty sequence")
+    modulus = operator.index(modulus)
     if modulus < 2:
         raise ValueError(f"modulus must be at least 2, got {modulus}")
     return Mat2Mod(*_fold(entries, modulus), modulus)
@@ -295,8 +298,8 @@ def parse_word(text: str) -> GroupWord:
 
 
 def as_int_seq(entries) -> IntSeq:
-    """Validate and freeze a sequence of positive integers."""
-    seq = tuple(int(e) for e in entries)
+    """Validate and freeze a sequence of positive integers (read with ``operator.index``)."""
+    seq = tuple(map(operator.index, entries))
     if not seq:
         raise ValueError("sequence must be nonempty")
     if any(e < 1 for e in seq):
@@ -305,8 +308,8 @@ def as_int_seq(entries) -> IntSeq:
 
 
 def as_mod2_seq(entries) -> Mod2Seq:
-    """Validate and freeze a sequence over {0, 1}."""
-    seq = tuple(int(e) for e in entries)
+    """Validate and freeze a sequence over {0, 1} (read with ``operator.index``)."""
+    seq = tuple(map(operator.index, entries))
     if not seq:
         raise ValueError("sequence must be nonempty")
     if any(e not in (0, 1) for e in seq):
@@ -317,7 +320,7 @@ def as_mod2_seq(entries) -> Mod2Seq:
 def parse_int_seq(text: str) -> IntSeq:
     """Parse a comma-separated sequence of positive integers, e.g. ``1,3,1,2,2``."""
     try:
-        return as_int_seq(part.strip() for part in text.split(","))
+        return as_int_seq(int(part.strip()) for part in text.split(","))
     except ValueError as exc:
         raise ValueError(f"cannot parse integer sequence {text!r}: {exc}") from None
 
@@ -325,7 +328,7 @@ def parse_int_seq(text: str) -> IntSeq:
 def parse_mod2_seq(text: str) -> Mod2Seq:
     """Parse a comma-separated sequence over {0, 1}, e.g. ``0,1,0,1``."""
     try:
-        return as_mod2_seq(part.strip() for part in text.split(","))
+        return as_mod2_seq(int(part.strip()) for part in text.split(","))
     except ValueError as exc:
         raise ValueError(f"cannot parse mod-2 sequence {text!r}: {exc}") from None
 

@@ -3,18 +3,19 @@
 Vertices are labeled 1..n counterclockwise in convex position.  A diagonal
 is an unordered pair {i, j} with j - i >= 2 and (i, j) != (1, n); two
 diagonals (a, b) and (c, d) written with a < b, c < d cross exactly when
-a < c < b < d or c < a < d < b.  Because the vertices are convex, the cells
-cut out by the diagonals can be recovered by splitting vertex intervals,
-with no planar embedding machinery.
+a < c < b < d or c < a < d < b.  Because the vertices are convex, each
+diagonal (i, j) cuts off one cell on the vertices i..j once every diagonal
+nested inside it has cut off its own, so the cells come out of one walk
+over the diagonals, innermost first, with no planar embedding machinery.
 
 Quiddities read the dissection back off as a sequence: ``quiddity_cc``
-counts the cells meeting each vertex, ``quiddity_mod2`` the parity of the
-number of triangle cells meeting each vertex.
+counts the cells meeting each vertex (one more than the number of
+diagonals there), ``quiddity_mod2`` the parity of the number of triangle
+cells meeting each vertex.
 """
 
 import json
 import math
-from bisect import bisect_right
 from typing import Iterator, NamedTuple
 
 from .algebra import Mod2Seq, IntSeq
@@ -67,6 +68,15 @@ class DissectionFlags(NamedTuple):
     is_3d: bool
 
 
+# Cell-size rule of each kind, in the field order of DissectionFlags.
+_CELL_RULES = {
+    "triangulation": lambda s: s == 3,
+    "34": lambda s: s in (3, 4),
+    "3d": lambda s: s % 3 == 0,
+}
+_KINDS = ("all", *_CELL_RULES)
+
+
 def _crosses(p: tuple[int, int], q: tuple[int, int]) -> bool:
     a, b = p
     c, d = q
@@ -79,8 +89,15 @@ class Dissection:
     __slots__ = ("_n", "_diagonals")
 
     def __init__(self, n: int, diagonals=(), check: bool = True):
-        self._n = int(n)
-        pairs = {(min(int(a), int(b)), max(int(a), int(b))) for a, b in diagonals}
+        if type(n) is not int:
+            raise DissectionError(f"'n' must be an integer, got {n!r}")
+        pairs = set()
+        for p in diagonals:
+            a, b = p
+            if type(a) is not int or type(b) is not int:
+                raise DissectionError(f"diagonal endpoints must be integers, got {p!r}")
+            pairs.add((a, b) if a < b else (b, a))
+        self._n = n
         self._diagonals = tuple(sorted(pairs))
         if check:
             self.validate()
@@ -137,57 +154,35 @@ class Dissection:
     def cells(self) -> tuple[tuple[int, ...], ...]:
         """The sub-polygons of the dissection, each as an ascending vertex tuple.
 
-        Splits the vertex interval [lo, hi] below each chord: from a vertex
-        u the cell adjacent to the base chord continues to the farthest w in
-        (u, hi] joined to u by a side or diagonal.  Every non-side step chord
-        spawns the interval below it, so each diagonal is visited from both
-        sides exactly once and the d+1 cells come out without duplication.
+        Walks the diagonals innermost first (by span j - i), then the side
+        (1, n).  ``nxt[v]`` is the next vertex after v on the part of the
+        polygon not yet cut off, so diagonal (i, j) cuts off the cell
+        reached from i along ``nxt`` up to j and then sets ``nxt[i] = j``.
+        ``nxt[v] > v`` always holds, so the walk ends on any input.
         """
         n = self._n
-        chords: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-        for v in range(1, n):
-            chords[v].append(v + 1)
-        chords[1].append(n)
-        for i, j in self._diagonals:
-            chords[i].append(j)
-        for v in chords:
-            chords[v].sort()
-
+        nxt = list(range(1, n + 2))
         out = []
-        stack = [(1, n)]
-        while stack:
-            lo, hi = stack.pop()
-            cell = [lo]
-            u = lo
-            while u != hi:
-                ws = chords[u]
-                # farthest chord endpoint <= hi; the base chord itself is
-                # excluded on the first step
-                limit = hi - 1 if u == lo else hi
-                w = ws[bisect_right(ws, limit) - 1]
-                if w > u + 1:
-                    stack.append((u, w))
-                cell.append(w)
-                u = w
+        for i, j in [*sorted(self._diagonals, key=lambda p: p[1] - p[0]), (1, n)]:
+            cell = [i]
+            while cell[-1] < j:
+                cell.append(nxt[cell[-1]])
+            nxt[i] = j
             out.append(tuple(cell))
         out.sort()
         return tuple(out)
 
     def classify(self) -> DissectionFlags:
         """Cell-size flags: all triangles / all in {3,4} / all multiples of 3."""
-        sizes = [len(c) for c in self.cells()]
-        return DissectionFlags(
-            is_triangulation=all(s == 3 for s in sizes),
-            is_34=all(s in (3, 4) for s in sizes),
-            is_3d=all(s % 3 == 0 for s in sizes),
-        )
+        sizes = {len(c) for c in self.cells()}
+        return DissectionFlags(*(all(map(rule, sizes)) for rule in _CELL_RULES.values()))
 
     def quiddity_cc(self) -> IntSeq:
-        """Entry i = number of cells having vertex i as a corner."""
-        counts = [0] * self._n
-        for cell in self.cells():
-            for v in cell:
-                counts[v - 1] += 1
+        """Entry i = number of cells having vertex i as a corner: 1 + its diagonals."""
+        counts = [1] * self._n
+        for i, j in self._diagonals:
+            counts[i - 1] += 1
+            counts[j - 1] += 1
         return tuple(counts)
 
     def quiddity_mod2(self) -> Mod2Seq:
@@ -224,11 +219,6 @@ class Dissection:
             isinstance(p, (list, tuple)) and len(p) == 2 for p in diagonals
         ):
             raise DissectionError("'diagonals' must be a list of vertex pairs")
-        if type(n) is not int:
-            raise DissectionError(f"'n' must be an integer, got {n!r}")
-        for p in diagonals:
-            if not all(type(v) is int for v in p):
-                raise DissectionError(f"diagonal endpoints must be integers, got {p!r}")
         return cls(n, diagonals)
 
     @classmethod
@@ -263,20 +253,6 @@ class Dissection:
         return "\n".join(lines) + "\n"
 
 
-_KINDS = ("all", "triangulation", "34", "3d")
-
-
-def _kind_ok(d: Dissection, kind: str) -> bool:
-    if kind == "all":
-        return True
-    flags = d.classify()
-    if kind == "triangulation":
-        return flags.is_triangulation
-    if kind == "34":
-        return flags.is_34
-    return flags.is_3d
-
-
 def enumerate_dissections(
     n: int, kind: str = "all", cap: int = DEFAULT_POLYGON_CAP
 ) -> Iterator[Dissection]:
@@ -301,11 +277,12 @@ def enumerate_dissections(
         for j in range(i + 2, n + 1)
         if not (i == 1 and j == n)
     ]
+    rule = _CELL_RULES.get(kind)
     chosen: list[tuple[int, int]] = []
 
     def rec(start: int) -> Iterator[Dissection]:
         d = Dissection(n, tuple(chosen), check=False)
-        if _kind_ok(d, kind):
+        if rule is None or all(rule(len(c)) for c in d.cells()):
             yield d
         for k in range(start, len(candidates)):
             cand = candidates[k]

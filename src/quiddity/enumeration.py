@@ -210,7 +210,7 @@ def theorem_sweep(
     checked = 0
     bad: list[str] = []
 
-    for n in range(n_lo, n_hi + 1):
+    for n in range(max(n_lo, 3), n_hi + 1):
         if which == "thm1i":
             for d in enumerate_dissections(n, kind="34", cap=polygon_cap):
                 checked += 1
@@ -218,8 +218,6 @@ def theorem_sweep(
                 if not is_gamma2_solution(q):
                     bad.append(f"n={n}: quiddity {format_seq(q)} of {d!r} is not a solution")
         elif which == "thm1ii":
-            if n < 3:
-                continue
             for s in solutions_gamma2(n, cap=mod2_cap):
                 checked += 1
                 d = realize_dissection(s)
@@ -260,8 +258,6 @@ def theorem_sweep(
                     if classify_pm_identity(m_product(q)) is MatClass.OTHER:
                         bad.append(f"n={n}: quiddity {format_seq(q)} is not a +/-Id solution")
         elif which == "remark":
-            if n < 3:
-                continue
             for s in solutions_gamma2(n, cap=mod2_cap):
                 if 1 not in s:
                     continue

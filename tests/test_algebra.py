@@ -13,6 +13,8 @@ from quiddity import (
     Mat2,
     Mat2Mod,
     MatClass,
+    as_int_seq,
+    as_mod2_seq,
     classify_pm_identity,
     dihedral_min,
     elementary_matrix,
@@ -100,6 +102,27 @@ def test_products_accept_bool_entries_as_ints():
     assert m_product((True, True, True)) == MAT_MINUS_IDENTITY
     assert m_product_mod((True, False, True, False), 2) == Mat2Mod.identity(2)
     assert is_gamma2_solution((False, False))
+
+
+@pytest.mark.parametrize("modulus", [2.5, 2.0, 1.5, "3"])
+def test_non_integer_modulus_is_rejected(modulus):
+    with pytest.raises(TypeError):
+        m_product_mod((1, 1, 1), modulus)
+    with pytest.raises(TypeError):
+        in_principal_congruence(m_product((1, 1, 1)), modulus)
+    with pytest.raises(TypeError):
+        Mat2Mod(1, 0, 0, 1, modulus)
+
+
+def test_sequences_reject_non_integer_entries():
+    with pytest.raises(TypeError):
+        as_int_seq([2.7, 1])
+    with pytest.raises(TypeError):
+        as_mod2_seq([1.0, 1, 1])
+    with pytest.raises(TypeError):
+        as_int_seq(["2", "1"])
+    assert as_int_seq([True, 2]) == (1, 2)
+    assert as_mod2_seq((False, 1)) == (0, 1)
 
 
 def test_elementary_matrix_examples():

@@ -224,6 +224,14 @@ def test_json_rejects_non_integer_values(text):
         Dissection.from_json(text)
 
 
+@pytest.mark.parametrize("text", NON_INTEGER_JSON.values(), ids=NON_INTEGER_JSON.keys())
+@pytest.mark.parametrize("check", [True, False])
+def test_constructor_rejects_non_integer_values(text, check):
+    data = json.loads(text)
+    with pytest.raises(DissectionError, match="must be an integer|must be integers"):
+        Dissection(data["n"], data["diagonals"], check=check)
+
+
 def test_to_dot():
     d = Dissection(4, [(1, 3)])
     dot = d.to_dot()

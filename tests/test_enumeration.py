@@ -169,3 +169,10 @@ def test_sweep_reports_checked_counts():
     # 1 triangle dissection, 3 quadrilateral dissections
     assert report.checked == 4
     assert report.counterexamples == ()
+
+
+@pytest.mark.parametrize("which", ["thm1i", "thm1ii", "thm2", "thm3", "remark"])
+def test_sweep_below_three_checks_the_same_as_from_three(which):
+    low, base = theorem_sweep(which, 1, 6), theorem_sweep(which, 3, 6)
+    assert (low.checked, low.counterexamples) == (base.checked, base.counterexamples)
+    assert low.checked > 0

@@ -253,6 +253,13 @@ def test_realize_base_cases():
     assert realize_dissection((0, 0, 0, 0)) == Dissection(4)
 
 
+@pytest.mark.parametrize("realize", [realize_dissection, realize_triangulation, reduce_to_base])
+@pytest.mark.parametrize("seq", [(1.9, 1, 1), (1.0, 1.0, 1.0), ("1", "1", "1")])
+def test_realization_rejects_non_integer_entries(realize, seq):
+    with pytest.raises(TypeError):
+        realize(seq)
+
+
 def test_realize_examples():
     d = realize_dissection((1, 1, 1, 0, 0))
     assert d == Dissection(5, [(2, 4), (2, 5)])
