@@ -112,7 +112,7 @@ class Mat2Mod:
         if modulus < 2:
             raise ValueError(f"modulus must be at least 2, got {modulus}")
         for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, getattr(self, name) % modulus)
+            object.__setattr__(self, name, operator.index(getattr(self, name)) % modulus)
 
     @classmethod
     def identity(cls, modulus: int) -> "Mat2Mod":

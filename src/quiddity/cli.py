@@ -62,15 +62,18 @@ def _env_cap(name: str, default: int) -> int:
 
 
 def _sequences(arg: str) -> list[str]:
-    """Inline sequence, or one sequence per line from ``@path``."""
+    """Inline sequence, or one sequence per line from ``@path`` (at least one)."""
     if not arg.startswith("@"):
         return [arg]
     with open(arg[1:], encoding="utf-8") as handle:
-        return [
+        texts = [
             line.strip()
             for line in handle
             if line.strip() and not line.lstrip().startswith("#")
         ]
+    if not texts:
+        raise ValueError(f"no sequences in {arg}")
+    return texts
 
 
 def _emit(data: dict) -> None:

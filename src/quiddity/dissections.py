@@ -16,6 +16,7 @@ cells meeting each vertex.
 
 import json
 import math
+import operator
 from typing import Iterator, NamedTuple
 
 from .algebra import Mod2Seq, IntSeq
@@ -259,36 +260,78 @@ def enumerate_dissections(
     """Yield every dissection of the labeled n-gon whose cells match ``kind``.
 
     ``kind`` is one of ``"all"``, ``"triangulation"``, ``"34"``, ``"3d"``.
-    Non-crossing diagonal sets are generated by backtracking over candidate
-    diagonals in lexicographic order, so the stream is deterministic and
-    sorted lexicographically on the (sorted) diagonal sets, starting with
-    the empty set.
+    The stream is the depth-first preorder of the non-crossing diagonal
+    sets, each set followed by its extensions with lexicographically larger
+    diagonals, so it is deterministic and sorted lexicographically on the
+    (sorted) diagonal sets, starting with the empty set.  Only the sets of
+    the requested kind are built.
+
+    The walk goes vertex by vertex.  A stack holds the open diagonals, the
+    side (1, n) at the bottom, each with its right end and the number of
+    vertices its cell has so far.  At vertex v the candidates are (v, j)
+    for ascending j up to the right end of the innermost open diagonal
+    covering v (n - 1 at v = 1), so none of them crosses a chosen one.
+    Stepping to vertex v + 1 closes the cells of the diagonals ending
+    there and adds v + 1 to the innermost cell still open; a subtree is
+    cut off as soon as a closed cell breaks the kind's rule or an open one
+    outgrows the kind's largest cell.  A set is yielded when every open
+    cell, completed with no more diagonals, keeps the rule.
     """
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
+    n = operator.index(n)
     if n < 3:
         raise DissectionError(f"a polygon needs at least 3 vertices, got n={n}")
     if n > cap:
         raise CapExceeded(f"n={n} exceeds the polygon cap {cap}")
 
-    candidates = [
-        (i, j)
-        for i in range(1, n - 1)
-        for j in range(i + 2, n + 1)
-        if not (i == 1 and j == n)
-    ]
-    rule = _CELL_RULES.get(kind)
+    rule = _CELL_RULES.get(kind, lambda s: True)
+    # a cell never loses a vertex, so one past this size is a dead end
+    largest = max(s for s in range(3, n + 1) if rule(s))
     chosen: list[tuple[int, int]] = []
+    rights = [n]
+    sizes = [2]
 
-    def rec(start: int) -> Iterator[Dissection]:
-        d = Dissection(n, tuple(chosen), check=False)
-        if rule is None or all(rule(len(c)) for c in d.cells()):
-            yield d
-        for k in range(start, len(candidates)):
-            cand = candidates[k]
-            if all(not _crosses(cand, prev) for prev in chosen):
-                chosen.append(cand)
-                yield from rec(k + 1)
+    def completes(v: int) -> bool:
+        # vertices v + 1 .. right - 1 not under an inner cell join each cell
+        inner = v + 1
+        for k in range(len(rights) - 1, -1, -1):
+            if not rule(sizes[k] + rights[k] - inner):
+                return False
+            inner = rights[k]
+        return True
+
+    def rec(v: int, j: int, base: int) -> Iterator[Dissection]:
+        # ``chosen`` ends at (v, j - 1); its diagonals from v sit at
+        # rights[base:], the innermost (shortest) on top
+        if completes(v):
+            yield Dissection(n, tuple(chosen), check=False)
+        passed = []
+        while True:
+            hi = rights[base - 1] if v > 1 else n - 1
+            for w in range(j, hi + 1):
+                chosen.append((v, w))
+                rights.insert(base, w)
+                sizes.insert(base, 2)
+                yield from rec(v, w + 1, base)
                 chosen.pop()
+                del rights[base], sizes[base]
+            v += 1
+            if v > n - 2:
+                break
+            closed = []
+            while rights[-1] == v:
+                rights.pop()
+                closed.append(sizes.pop())
+            sizes[-1] += 1
+            passed.append((v, closed))
+            if sizes[-1] > largest or not all(map(rule, closed)):
+                break
+            j, base = v + 2, len(rights)
+        for u, closed in reversed(passed):
+            sizes[-1] -= 1
+            for size in reversed(closed):
+                rights.append(u)
+                sizes.append(size)
 
-    yield from rec(0)
+    yield from rec(1, 3, 1)

@@ -4,8 +4,10 @@ Mod-2 solutions of a given length are enumerated by a depth-first walk over
 {0, 1}^n carrying the running product, emitting tuples in lexicographic
 order; results agree with the naive filter over all 2^n tuples.  Labeled
 tuple counts follow the Jacobsthal numbers, rotation classes are a separate
-view.  Bounded integer searches enumerate sequences with entries in
-[1, cap] whose product is plus or minus the identity.
+view.  The bounded integer search lists the sequences with entries in
+[1, cap] whose product is plus or minus the identity by meeting in the
+middle: prefix products of half length are matched against inverse suffix
+products, and the matches are sorted into lexicographic order.
 
 ``theorem_sweep`` cross-checks the combinatorial characterizations at desk
 scale (dissections -> quiddities -> membership, and solutions ->
@@ -13,12 +15,15 @@ realization -> round trip) and reports counterexamples, which are expected
 to be absent.
 """
 
+import operator
 from dataclasses import dataclass, field
+from itertools import product
 
 from .algebra import (
     IntSeq,
     MatClass,
     Mod2Seq,
+    _fold,
     classify_pm_identity,
     format_seq,
     is_gamma2_solution,
@@ -101,32 +106,33 @@ def solutions_pm_identity(
     The default entry cap is n - 2: a quiddity entry counts cells at a
     vertex, and a dissection of an n-gon has at most n - 2 cells.  Returns
     ``(sequence, sign)`` pairs in lexicographic order.
+
+    Meet in the middle (Horowitz-Sahni): the products of all prefixes of
+    length n // 2 go into a table, and each suffix with product S is
+    matched against the prefixes whose product is +S^-1 or -S^-1.  That is
+    O(entry_cap^ceil(n/2)) products instead of entry_cap^n.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"length must be at least 1, got {n}")
     if n > cap:
         raise CapExceeded(f"n={n} exceeds the integer-search cap {cap}")
-    if entry_cap is None:
-        entry_cap = max(1, n - 2)
+    entry_cap = max(1, n - 2) if entry_cap is None else operator.index(entry_cap)
     if entry_cap < 1:
         raise ValueError(f"entry cap must be at least 1, got {entry_cap}")
 
+    entries = range(1, entry_cap + 1)
+    k = n // 2
+    prefixes: dict[tuple[int, int, int, int], list[IntSeq]] = {}
+    for prefix in product(entries, repeat=k):
+        prefixes.setdefault(_fold(prefix), []).append(prefix)
     out: list[tuple[IntSeq, int]] = []
-    prefix: list[int] = []
-
-    def rec(i: int, a: int, b: int, c: int, d: int) -> None:
-        if i == n:
-            if (a, b, c, d) == (1, 0, 0, 1):
-                out.append((tuple(prefix), 1))
-            elif (a, b, c, d) == (-1, 0, 0, -1):
-                out.append((tuple(prefix), -1))
-            return
-        for e in range(1, entry_cap + 1):
-            prefix.append(e)
-            rec(i + 1, a * e + b, -a, c * e + d, -c)
-            prefix.pop()
-
-    rec(0, 1, 0, 0, 1)
+    for suffix in product(entries, repeat=n - k):
+        a, b, c, d = _fold(suffix)
+        for sign in (1, -1):
+            for prefix in prefixes.get((sign * d, -sign * b, -sign * c, sign * a), ()):
+                out.append((prefix + suffix, sign))
+    out.sort()
     return out
 
 
@@ -199,8 +205,9 @@ def theorem_sweep(
     remark  every solution with an odd entry is realized by a triangulation
             with the exact quiddity.
 
-    ``converse_hi`` gates the (n-2)^n integer search of thm2 and thm3, so
-    above it only the forward direction is checked and no n is vacuous.
+    ``converse_hi`` gates the integer search of thm2 and thm3 (entries up to
+    n - 2, about (n-2)^(n/2) products), so above it only the forward
+    direction is checked and no n is vacuous.
     A range holding no n >= 3 raises ``ValueError``, so no sweep is vacuous.
     """
     if which not in SWEEP_NAMES:

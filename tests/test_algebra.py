@@ -114,6 +114,16 @@ def test_non_integer_modulus_is_rejected(modulus):
         Mat2Mod(1, 0, 0, 1, modulus)
 
 
+@pytest.mark.parametrize("entries", [(1.5, 0, 0, 1), (1, "0", 0, 1), (1, 0, 0, 4.0)])
+def test_mat2mod_rejects_non_integer_entries(entries):
+    with pytest.raises(TypeError):
+        Mat2Mod(*entries, 3)
+
+
+def test_mat2mod_reduces_int_and_bool_entries():
+    assert Mat2Mod(4, -1, True, 7, 3) == Mat2Mod(1, 2, 1, 1, 3)
+
+
 def test_sequences_reject_non_integer_entries():
     with pytest.raises(TypeError):
         as_int_seq([2.7, 1])

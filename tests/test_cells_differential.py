@@ -1,4 +1,4 @@
-"""The next-pointer cell walk against the frozen chord-list copy in ``seed_cells``."""
+"""The cell walk and the pruned enumeration against the frozen copies in ``seed_cells``."""
 
 import random
 
@@ -34,6 +34,18 @@ def test_cell_readings_match_reference_on_every_dissection(n):
         # the reference filter, applied to the reference stream
         want = [d for d, (_, flags, _, _) in zip(every, readings) if seed.kind_ok(flags, kind)]
         assert list(enumerate_dissections(n, kind)) == want, (n, kind)
+
+
+def test_enumeration_matches_reference_stream_at_n11():
+    # one pass of the reference stream serves all four kinds
+    want = {kind: [] for kind in KINDS}
+    for d in seed.enumerate_dissections(11):
+        flags = seed.classify(d)
+        for kind in KINDS:
+            if seed.kind_ok(flags, kind):
+                want[kind].append(d.diagonals)
+    for kind in KINDS:
+        assert [d.diagonals for d in enumerate_dissections(11, kind)] == want[kind], kind
 
 
 def _random_solution(n, seed_value):

@@ -286,6 +286,21 @@ def test_batch_file_input(tmp_path, capsys):
     assert "MinusId" in out and "Other" in out
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["check", "--pm"], ["check", "--mod", "3"], ["check-mod2"], ["realize"], ["frieze"]],
+    ids=["check-pm", "check-mod", "check-mod2", "realize", "frieze"],
+)
+@pytest.mark.parametrize("text", ["", "\n  \n# only a comment\n"], ids=["empty", "comments"])
+def test_file_without_sequences_is_a_usage_error(tmp_path, capsys, command, text):
+    batch = tmp_path / "none.txt"
+    batch.write_text(text)
+    code, out, err = run(capsys, command[0], "@" + str(batch), *command[1:])
+    assert code == 2
+    assert out == ""
+    assert err == f"quiddity: no sequences in @{batch}\n"
+
+
 def test_output_is_deterministic(capsys):
     first = run(capsys, "enumerate", "8", "--classes", "--tuples")
     second = run(capsys, "enumerate", "8", "--classes", "--tuples")

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import quiddity.dissections as dissections_module
 from quiddity import (
     CapExceeded,
     CrossingDiagonals,
@@ -185,6 +186,32 @@ def test_enumerate_caps():
     with pytest.raises(ValueError):
         list(enumerate_dissections(5, kind="pentagons"))
     assert next(enumerate_dissections(13, cap=13)) == Dissection(13)
+
+
+def test_enumerate_is_lazy_and_builds_only_what_it_yields(monkeypatch):
+    built = []
+
+    class Counted(Dissection):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(dissections_module, "Dissection", Counted)
+    # the first triangulation in lex order is the fan from vertex 1
+    fan = Dissection(13, [(1, j) for j in range(3, 13)])
+    assert next(enumerate_dissections(13, "triangulation", cap=13)) == fan
+    assert len(built) == 1
+    for kind in ("all", "triangulation", "34", "3d"):
+        built.clear()
+        assert sum(1 for _ in enumerate_dissections(9, kind)) == len(built)
+
+
+@pytest.mark.parametrize("n", [5.0, 5.5, "5", 2.5, 13.0])
+def test_enumerate_rejects_non_integer_n(n):
+    with pytest.raises(TypeError):
+        next(enumerate_dissections(n))
 
 
 def test_json_round_trip():

@@ -111,6 +111,12 @@ def test_solutions_pm_identity_signs_verified():
             assert m_product(s) == expected
 
 
+@pytest.mark.parametrize("args", [(7.0,), ("7",), (9.0,), (5, 3.0), (5, "3"), (5, 0.5)])
+def test_solutions_pm_identity_rejects_non_integer_arguments(args):
+    with pytest.raises(TypeError):
+        solutions_pm_identity(*args)
+
+
 def test_entries_one_check():
     assert entries_one_check([(1, 1, 1)])
     assert entries_one_check([(1, 3, 1, 2, 2)])
