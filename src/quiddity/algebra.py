@@ -184,17 +184,26 @@ def in_principal_congruence(m: Mat2, modulus: int) -> bool:
     return m.mod(modulus) == Mat2Mod.identity(modulus)
 
 
+# The six elements of SL(2, F2): state s is M(w) mod 2 for the s-th word w of
+# (), (0,), (1,), (0, 1), (1, 0), (1, 1), and _MOD2_STEPS[s][e] is M(w + (e,)).
+_MOD2_STEPS = ((1, 2), (0, 3), (4, 5), (5, 4), (2, 1), (3, 0))
+
+
 def is_gamma2_solution(seq) -> bool:
     """True iff the mod-2 product of the sequence is the identity.
 
-    Entries may be arbitrary integers; only their parities matter.  A
-    length-1 sequence is never a solution (the product has a 0 in the
-    bottom-right corner).
+    Entries may be arbitrary integers, read with ``operator.index``; only
+    their parities matter, each one step on ``_MOD2_STEPS``.  A length-1
+    sequence is never a solution (the product has a 0 in the bottom-right
+    corner).
     """
     entries = tuple(seq)
     if not entries:
         raise ValueError("is_gamma2_solution requires a nonempty sequence")
-    return _fold(entries, 2) == (1, 0, 0, 1)
+    state = 0
+    for e in map(operator.index, entries):
+        state = _MOD2_STEPS[state][e & 1]
+    return state == 0
 
 
 # Words in the standard generators.  S^-1 = -S because S^2 = -Id, which is

@@ -11,13 +11,13 @@ over the diagonals, innermost first, with no planar embedding machinery.
 Quiddities read the dissection back off as a sequence: ``quiddity_cc``
 counts the cells meeting each vertex (one more than the number of
 diagonals there), ``quiddity_mod2`` the parity of the number of triangle
-cells meeting each vertex.
+cells meeting each vertex; the enumeration walk keeps the latter as cells close.
 """
 
 import json
 import math
 import operator
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .algebra import Mod2Seq, IntSeq
 
@@ -76,6 +76,15 @@ _CELL_RULES = {
     "3d": lambda s: s % 3 == 0,
 }
 _KINDS = ("all", *_CELL_RULES)
+
+
+def _cc_quiddity(n: int, diagonals) -> IntSeq:
+    """1 + the number of diagonals at each vertex of the n-gon."""
+    counts = [1] * n
+    for i, j in diagonals:
+        counts[i - 1] += 1
+        counts[j - 1] += 1
+    return tuple(counts)
 
 
 def _crosses(p: tuple[int, int], q: tuple[int, int]) -> bool:
@@ -180,11 +189,7 @@ class Dissection:
 
     def quiddity_cc(self) -> IntSeq:
         """Entry i = number of cells having vertex i as a corner: 1 + its diagonals."""
-        counts = [1] * self._n
-        for i, j in self._diagonals:
-            counts[i - 1] += 1
-            counts[j - 1] += 1
-        return tuple(counts)
+        return _cc_quiddity(self._n, self._diagonals)
 
     def quiddity_mod2(self) -> Mod2Seq:
         """Entry i = parity of the number of triangle cells at vertex i."""
@@ -263,19 +268,28 @@ def enumerate_dissections(
     The stream is the depth-first preorder of the non-crossing diagonal
     sets, each set followed by its extensions with lexicographically larger
     diagonals, so it is deterministic and sorted lexicographically on the
-    (sorted) diagonal sets, starting with the empty set.  Only the sets of
-    the requested kind are built.
+    (sorted) diagonal sets, starting with the empty set.  The sets come from
+    ``_walk``, and only those of the requested kind are built.
+    """
+    sets = _walk(n, kind, cap)
+    n = operator.index(n)
+    for chosen, _ in sets:
+        yield Dissection(n, tuple(chosen), check=False)
 
-    The walk goes vertex by vertex.  A stack holds the open diagonals, the
-    side (1, n) at the bottom, each with its right end and the number of
-    vertices its cell has so far.  At vertex v the candidates are (v, j)
-    for ascending j up to the right end of the innermost open diagonal
-    covering v (n - 1 at v = 1), so none of them crosses a chosen one.
-    Stepping to vertex v + 1 closes the cells of the diagonals ending
-    there and adds v + 1 to the innermost cell still open; a subtree is
-    cut off as soon as a closed cell breaks the kind's rule or an open one
-    outgrows the kind's largest cell.  A set is yielded when every open
-    cell, completed with no more diagonals, keeps the rule.
+
+def _walk(n: int, kind: str, cap: int) -> Iterator[tuple[list, Callable[[], Mod2Seq]]]:
+    """Check the arguments, then yield ``(chosen, parities)`` for each set of the kind.
+
+    ``chosen`` is the walk's diagonal list and ``parities()`` the set's
+    ``quiddity_mod2``, both valid until the walk resumes.  Open cells sit on
+    a stack as [left, right, vertices so far], the side (1, n) at the bottom.
+    At vertex v the walk tries (v, j) for ascending j up to the innermost
+    open cell's right end; stepping to u closes the cells ending at u,
+    innermost first, and adds u to the innermost one left.  A closing
+    triangle toggles the parity of its left end, of u, and of the corner
+    before u: the left end of the cell closed just before it at u, else
+    u - 1.  Subtrees whose cells break the kind's rule are cut off; a set is
+    yielded when its open cells, closed with no more diagonals, keep it.
     """
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
@@ -286,52 +300,74 @@ def enumerate_dissections(
         raise CapExceeded(f"n={n} exceeds the polygon cap {cap}")
 
     rule = _CELL_RULES.get(kind, lambda s: True)
+    allowed = {s for s in range(3, n + 1) if rule(s)}
     # a cell never loses a vertex, so one past this size is a dead end
-    largest = max(s for s in range(3, n + 1) if rule(s))
+    largest = max(allowed)
     chosen: list[tuple[int, int]] = []
-    rights = [n]
-    sizes = [2]
+    stack = [[1, n, 2]]
+    parity = [0] * (n + 1)  # over the closed cells, indexed by vertex
 
     def completes(v: int) -> bool:
         # vertices v + 1 .. right - 1 not under an inner cell join each cell
         inner = v + 1
-        for k in range(len(rights) - 1, -1, -1):
-            if not rule(sizes[k] + rights[k] - inner):
+        for _, right, size in reversed(stack):
+            if size + right - inner not in allowed:
                 return False
-            inner = rights[k]
+            inner = right
         return True
 
-    def rec(v: int, j: int, base: int) -> Iterator[Dissection]:
-        # ``chosen`` ends at (v, j - 1); its diagonals from v sit at
-        # rights[base:], the innermost (shortest) on top
+    def parities(v: int) -> Mod2Seq:
+        # close the open cells, innermost first, as if no diagonal followed
+        p = parity.copy()
+        inner, before = v + 1, v
+        for left, right, size in reversed(stack):
+            if size + right - inner == 3:
+                for x in (left, right - 1 if right > inner else before, right):
+                    p[x] ^= 1
+            inner, before = right, left
+        return tuple(p[1:])
+
+    def rec(v: int, j: int, base: int):
+        # ``chosen`` ends at (v, j - 1); its cells from v sit at stack[base:]
         if completes(v):
-            yield Dissection(n, tuple(chosen), check=False)
+            yield chosen, lambda: parities(v)
         passed = []
         while True:
-            hi = rights[base - 1] if v > 1 else n - 1
+            hi = stack[base - 1][1] if v > 1 else n - 1
             for w in range(j, hi + 1):
                 chosen.append((v, w))
-                rights.insert(base, w)
-                sizes.insert(base, 2)
+                stack.insert(base, [v, w, 2])
                 yield from rec(v, w + 1, base)
                 chosen.pop()
-                del rights[base], sizes[base]
+                del stack[base]
             v += 1
             if v > n - 2:
                 break
             closed = []
-            while rights[-1] == v:
-                rights.pop()
-                closed.append(sizes.pop())
-            sizes[-1] += 1
+            before = v - 1
+            fits = True
+            while stack[-1][1] == v:
+                cell = stack.pop()
+                if cell[2] == 3:  # every kind allows triangles
+                    parity[cell[0]] ^= 1
+                    parity[before] ^= 1
+                    parity[v] ^= 1
+                elif cell[2] not in allowed:
+                    fits = False
+                closed.append((cell, before))
+                before = cell[0]
+            stack[-1][2] += 1
             passed.append((v, closed))
-            if sizes[-1] > largest or not all(map(rule, closed)):
+            if not fits or stack[-1][2] > largest:
                 break
-            j, base = v + 2, len(rights)
+            j, base = v + 2, len(stack)
         for u, closed in reversed(passed):
-            sizes[-1] -= 1
-            for size in reversed(closed):
-                rights.append(u)
-                sizes.append(size)
+            stack[-1][2] -= 1
+            for cell, before in reversed(closed):
+                if cell[2] == 3:
+                    parity[cell[0]] ^= 1
+                    parity[before] ^= 1
+                    parity[u] ^= 1
+                stack.append(cell)
 
-    yield from rec(1, 3, 1)
+    return rec(1, 3, 1)

@@ -1,18 +1,18 @@
 """Exhaustive solution enumeration, counting, and verification sweeps.
 
 Mod-2 solutions of a given length are enumerated by a depth-first walk over
-{0, 1}^n carrying the running product, emitting tuples in lexicographic
-order; results agree with the naive filter over all 2^n tuples.  Labeled
-tuple counts follow the Jacobsthal numbers, rotation classes are a separate
-view.  The bounded integer search lists the sequences with entries in
-[1, cap] whose product is plus or minus the identity by meeting in the
-middle: prefix products of half length are matched against inverse suffix
-products, and the matches are sorted into lexicographic order.
+{0, 1}^n carrying the running product in SL(2, F2), emitting tuples in
+lexicographic order; results agree with the naive filter over all 2^n
+tuples.  Labeled tuple counts follow the Jacobsthal numbers, rotation
+classes are a separate view.  The bounded integer search lists the
+sequences with entries in [1, cap] whose product is plus or minus the
+identity by meeting in the middle: prefix products of half length are
+matched against inverse suffix products, and the matches are sorted.
 
 ``theorem_sweep`` cross-checks the combinatorial characterizations at desk
 scale (dissections -> quiddities -> membership, and solutions ->
-realization -> round trip) and reports counterexamples, which are expected
-to be absent.
+realization -> round trip); dissection sweeps build a ``Dissection`` only
+for a counterexample, and none is expected.
 """
 
 import operator
@@ -23,6 +23,7 @@ from .algebra import (
     IntSeq,
     MatClass,
     Mod2Seq,
+    _MOD2_STEPS,
     _fold,
     classify_pm_identity,
     format_seq,
@@ -33,7 +34,9 @@ from .algebra import (
 from .dissections import (
     CapExceeded,
     DEFAULT_POLYGON_CAP,
-    enumerate_dissections,
+    Dissection,
+    _cc_quiddity,
+    _walk,
 )
 from .surgery import realize_dissection, realize_triangulation
 
@@ -59,7 +62,8 @@ SWEEP_NAMES = ("thm1i", "thm1ii", "thm2", "thm3", "remark")
 
 
 def solutions_gamma2(n: int, cap: int = DEFAULT_MOD2_CAP) -> list[Mod2Seq]:
-    """All tuples in {0,1}^n whose mod-2 product is the identity, in lex order."""
+    """All tuples in {0,1}^n with mod-2 product Id, in lex order, walking ``_MOD2_STEPS``."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"length must be at least 1, got {n}")
     if n > cap:
@@ -68,26 +72,25 @@ def solutions_gamma2(n: int, cap: int = DEFAULT_MOD2_CAP) -> list[Mod2Seq]:
     out: list[Mod2Seq] = []
     prefix: list[int] = []
 
-    # Right-multiplication by the two mod-2 factors: [[0,1],[1,0]] swaps the
-    # columns, [[1,1],[1,0]] maps (a,b,c,d) to (a+b, a, c+d, c).
-    def rec(i: int, a: int, b: int, c: int, d: int) -> None:
+    def rec(i: int, state: int) -> None:
         if i == n:
-            if (a, b, c, d) == (1, 0, 0, 1):
+            if state == 0:
                 out.append(tuple(prefix))
             return
+        zero, one = _MOD2_STEPS[state]
         prefix.append(0)
-        rec(i + 1, b, a, d, c)
-        prefix.pop()
-        prefix.append(1)
-        rec(i + 1, (a + b) & 1, a, (c + d) & 1, c)
+        rec(i + 1, zero)
+        prefix[-1] = 1
+        rec(i + 1, one)
         prefix.pop()
 
-    rec(0, 1, 0, 0, 1)
+    rec(0, 0)
     return out
 
 
 def jacobsthal_count(n: int) -> int:
     """Closed-form count of length-n mod-2 solutions: (2^(n-1) - (-1)^(n-1)) / 3."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"length must be at least 1, got {n}")
     return (2 ** (n - 1) - (-1) ** (n - 1)) // 3
@@ -153,6 +156,7 @@ class SolutionReport:
 
 
 def solution_report(n: int, cap: int = DEFAULT_MOD2_CAP) -> SolutionReport:
+    n = operator.index(n)
     tuples = solutions_gamma2(n, cap=cap)
     reps = cyclic_classes(tuples)
     expected = jacobsthal_count(n)
@@ -205,13 +209,15 @@ def theorem_sweep(
     remark  every solution with an odd entry is realized by a triangulation
             with the exact quiddity.
 
+    thm1i, thm2 and thm3 read parities and degrees off the dissection walk.
     ``converse_hi`` gates the integer search of thm2 and thm3 (entries up to
     n - 2, about (n-2)^(n/2) products), so above it only the forward
-    direction is checked and no n is vacuous.
-    A range holding no n >= 3 raises ``ValueError``, so no sweep is vacuous.
+    direction is checked and no n is vacuous.  Bounds are read with
+    ``operator.index``; a range holding no n >= 3 raises ``ValueError``.
     """
     if which not in SWEEP_NAMES:
         raise ValueError(f"unknown sweep {which!r}; expected one of {SWEEP_NAMES}")
+    n_lo, n_hi, converse_hi = map(operator.index, (n_lo, n_hi, converse_hi))
     if max(n_lo, 3) > n_hi:
         raise ValueError(f"sweep range {n_lo}..{n_hi} contains no polygon size n >= 3")
     checked = 0
@@ -219,10 +225,11 @@ def theorem_sweep(
 
     for n in range(max(n_lo, 3), n_hi + 1):
         if which == "thm1i":
-            for d in enumerate_dissections(n, kind="34", cap=polygon_cap):
+            for chosen, parities in _walk(n, "34", polygon_cap):
                 checked += 1
-                q = d.quiddity_mod2()
+                q = parities()
                 if not is_gamma2_solution(q):
+                    d = Dissection(n, tuple(chosen), check=False)
                     bad.append(f"n={n}: quiddity {format_seq(q)} of {d!r} is not a solution")
         elif which == "thm1ii":
             for s in solutions_gamma2(n, cap=mod2_cap):
@@ -232,9 +239,9 @@ def theorem_sweep(
                     bad.append(f"n={n}: realization of {format_seq(s)} gave {d!r}")
         elif which == "thm2":
             tri_quiddities = set()
-            for d in enumerate_dissections(n, kind="triangulation", cap=polygon_cap):
+            for chosen, _ in _walk(n, "triangulation", polygon_cap):
                 checked += 1
-                q = d.quiddity_cc()
+                q = _cc_quiddity(n, chosen)
                 tri_quiddities.add(q)
                 if classify_pm_identity(m_product(q)) is not MatClass.MINUS_ID:
                     bad.append(f"n={n}: triangulation quiddity {format_seq(q)} is not -Id")
@@ -250,9 +257,9 @@ def theorem_sweep(
                         )
         elif which == "thm3":
             quiddities = set()
-            for d in enumerate_dissections(n, kind="3d", cap=polygon_cap):
+            for chosen, _ in _walk(n, "3d", polygon_cap):
                 checked += 1
-                quiddities.add(d.quiddity_cc())
+                quiddities.add(_cc_quiddity(n, chosen))
             if n <= converse_hi:
                 solutions = {s for s, _ in solutions_pm_identity(n, cap=int_cap)}
                 checked += len(solutions)

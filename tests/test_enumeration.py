@@ -182,3 +182,31 @@ def test_sweep_below_three_checks_the_same_as_from_three(which):
     low, base = theorem_sweep(which, 1, 6), theorem_sweep(which, 3, 6)
     assert (low.checked, low.counterexamples) == (base.checked, base.counterexamples)
     assert low.checked > 0
+
+
+@pytest.mark.parametrize("n", [5.0, 5.5, "5"])
+def test_solutions_gamma2_rejects_non_integer_n(n):
+    with pytest.raises(TypeError):
+        solutions_gamma2(n)
+
+
+@pytest.mark.parametrize("n", [5.0, 5.5, "5"])
+def test_jacobsthal_count_rejects_non_integer_n(n):
+    with pytest.raises(TypeError):
+        jacobsthal_count(n)
+
+
+@pytest.mark.parametrize("n", [4.0, 4.5, "4"])
+def test_solution_report_rejects_non_integer_n(n):
+    with pytest.raises(TypeError):
+        solution_report(n)
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [{"n_lo": 1.0}, {"n_lo": 3.5}, {"n_hi": 5.0}, {"n_hi": "5"}, {"converse_hi": 6.5}, {"converse_hi": 7.0}],
+)
+@pytest.mark.parametrize("which", ["thm1i", "thm2", "thm3"])
+def test_theorem_sweep_rejects_non_integer_bounds(which, bounds):
+    with pytest.raises(TypeError):
+        theorem_sweep(which, **{"n_lo": 3, "n_hi": 5, **bounds})

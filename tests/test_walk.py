@@ -1,0 +1,126 @@
+"""The dissection walk's own quiddities against the frozen ``seed_cells`` reference.
+
+``theorem_sweep`` reads the walk behind ``enumerate_dissections`` directly:
+its diagonal list, the cc quiddity as 1 + the diagonal degrees, and the
+triangle parities it keeps as cells close.  These tests pin all three, and
+the sweep and CLI outputs built on them.
+"""
+
+import functools
+
+import pytest
+
+import seed_cells as seed
+from quiddity import (
+    Dissection,
+    MatClass,
+    enumerate_dissections,
+    format_seq,
+    solutions_pm_identity,
+    theorem_sweep,
+)
+from quiddity import enumeration
+from quiddity.cli import main
+from quiddity.dissections import _cc_quiddity, _walk
+
+KINDS = ("all", "triangulation", "34", "3d")
+
+
+def _walk_readings(n, kind):
+    for chosen, parities in _walk(n, kind, n):
+        yield tuple(chosen), _cc_quiddity(n, chosen), parities()
+
+
+@pytest.mark.parametrize("n", range(3, 12))
+def test_walk_quiddities_match_reference_for_every_kind(n, monkeypatch):
+    # the three reference readings of a set share one reference cell list
+    monkeypatch.setattr(seed, "cells", functools.lru_cache(maxsize=1)(seed.cells))
+    # the "all" walk is the stream of enumerate_dissections, which the cell
+    # differential tests pin to the reference; each other kind must yield
+    # exactly the sets of it that the reference cells accept, in order
+    others = {kind: _walk_readings(n, kind) for kind in KINDS if kind != "all"}
+    for got in _walk_readings(n, "all"):
+        d = Dissection(n, got[0])
+        flags = seed.classify(d)
+        assert got == (d.diagonals, seed.quiddity_cc(d), seed.quiddity_mod2(d)), d
+        for kind, walk in others.items():
+            if seed.kind_ok(flags, kind):
+                assert next(walk) == got, (kind, d)
+    for kind, walk in others.items():
+        assert next(walk, None) is None, (n, kind)
+
+
+def test_walk_is_the_enumeration_stream():
+    for kind in KINDS:
+        got = [diagonals for diagonals, _, _ in _walk_readings(9, kind)]
+        assert got == [d.diagonals for d in enumerate_dissections(9, kind)], kind
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_sweep_counterexamples_read_as_built_from_enumerated_dissections(n, monkeypatch):
+    # the theorems hold, so make each sweep's predicate reject everything;
+    # the expected lines are the sweeps' own format strings applied to the
+    # public stream, which is how they were built before the walk was read
+    monkeypatch.setattr(enumeration, "is_gamma2_solution", lambda q: False)
+    monkeypatch.setattr(enumeration, "classify_pm_identity", lambda m: MatClass.OTHER)
+
+    sets = list(enumerate_dissections(n, "34"))
+    report = theorem_sweep("thm1i", n, n)
+    assert report.checked == len(sets)
+    assert report.counterexamples == tuple(
+        f"n={n}: quiddity {format_seq(d.quiddity_mod2())} of {d!r} is not a solution" for d in sets
+    )
+
+    sets = list(enumerate_dissections(n, "triangulation"))
+    report = theorem_sweep("thm2", n, n)
+    assert report.checked == len(sets) + len(solutions_pm_identity(n))
+    assert report.counterexamples == tuple(
+        f"n={n}: triangulation quiddity {format_seq(d.quiddity_cc())} is not -Id" for d in sets
+    )
+
+    sets = list(enumerate_dissections(n, "3d"))
+    want = tuple(
+        f"n={n}: quiddity {format_seq(q)} is not a +/-Id solution"
+        for q in sorted({d.quiddity_cc() for d in sets})
+    )
+    report = theorem_sweep("thm3", n, n, converse_hi=n - 1)
+    assert (report.checked, report.counterexamples) == (len(sets), want)
+    monkeypatch.setattr(enumeration, "solutions_pm_identity", lambda *args, **kwargs: [])
+    report = theorem_sweep("thm3", n, n)
+    assert (report.checked, report.counterexamples) == (len(sets), want)
+
+
+# stdout of `quiddity enumerate 10 --sweep all`, with and without --json,
+# recorded before the sweeps read the walk directly
+SWEEP_ALL_10 = (
+    "sweep=thm1i range=3..10 checked=16656 counterexamples=0\n"
+    "sweep=thm1ii range=3..10 checked=340 counterexamples=0\n"
+    "sweep=thm2 range=3..10 checked=2127 counterexamples=0\n"
+    "sweep=thm3 range=3..10 checked=3067 counterexamples=0\n"
+    "sweep=remark range=3..10 checked=336 counterexamples=0\n"
+)
+SWEEP_ALL_10_JSON = (
+    '{"schema": 1, "sweeps": ['
+    '{"which": "thm1i", "range": [3, 10], "checked": 16656, "counterexamples": []}, '
+    '{"which": "thm1ii", "range": [3, 10], "checked": 340, "counterexamples": []}, '
+    '{"which": "thm2", "range": [3, 10], "checked": 2127, "counterexamples": []}, '
+    '{"which": "thm3", "range": [3, 10], "checked": 3067, "counterexamples": []}, '
+    '{"which": "remark", "range": [3, 10], "checked": 336, "counterexamples": []}]}\n'
+)
+
+
+@pytest.fixture
+def default_caps(monkeypatch):
+    for name in ("QUIDDITY_MOD2_CAP", "QUIDDITY_POLYGON_CAP", "QUIDDITY_INT_CAP"):
+        monkeypatch.delenv(name, raising=False)
+
+
+@pytest.mark.parametrize("flags, want", [((), SWEEP_ALL_10), (("--json",), SWEEP_ALL_10_JSON)])
+def test_sweep_all_prints_the_recorded_output(flags, want, capsys, default_caps):
+    assert main(["enumerate", "10", "--sweep", "all", *flags]) == 0
+    assert capsys.readouterr() == (want, "")
+
+
+def test_sweep_past_the_default_polygon_cap_is_a_usage_error(capsys, default_caps):
+    assert main(["enumerate", "13", "--sweep", "thm1i"]) == 2
+    assert capsys.readouterr() == ("", "quiddity: n=13 exceeds the polygon cap 12\n")
