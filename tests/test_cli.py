@@ -6,6 +6,7 @@ import random
 import pytest
 
 from quiddity import Dissection, in_principal_congruence, m_product
+from quiddity import enumeration
 from quiddity.cli import main
 
 
@@ -305,3 +306,72 @@ def test_output_is_deterministic(capsys):
     first = run(capsys, "enumerate", "8", "--classes", "--tuples")
     second = run(capsys, "enumerate", "8", "--classes", "--tuples")
     assert first == second
+
+
+THM1I_TO_4_COUNTEREXAMPLES = [
+    "n=3: quiddity 1,1,1 of Dissection(n=3, diagonals=[]) is not a solution",
+    "n=4: quiddity 0,0,0,0 of Dissection(n=4, diagonals=[]) is not a solution",
+    "n=4: quiddity 0,1,0,1 of Dissection(n=4, diagonals=[(1, 3)]) is not a solution",
+    "n=4: quiddity 1,0,1,0 of Dissection(n=4, diagonals=[(2, 4)]) is not a solution",
+]
+
+
+def test_enumerate_sweep_counterexamples_exit_1(capsys, monkeypatch):
+    # the theorem holds, so make thm1i's membership test reject everything
+    monkeypatch.setattr(enumeration, "is_gamma2_solution", lambda q: False)
+    code, out, err = run(capsys, "enumerate", "4", "--sweep", "thm1")
+    assert (code, err) == (1, "")
+    assert out == "".join([
+        "sweep=thm1i range=3..4 checked=4 counterexamples=4\n",
+        *(f"  {line}\n" for line in THM1I_TO_4_COUNTEREXAMPLES),
+        "sweep=thm1ii range=3..4 checked=4 counterexamples=0\n",
+    ])
+
+    code, out, err = run(capsys, "enumerate", "4", "--sweep", "thm1i", "--json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"schema": 1, "sweeps": [{
+        "which": "thm1i",
+        "range": [3, 4],
+        "checked": 4,
+        "counterexamples": THM1I_TO_4_COUNTEREXAMPLES,
+    }]}
+
+
+def test_check_mod2_json_records(capsys):
+    code, out, _ = run(capsys, "check-mod2", "1,0,1,0", "--json")
+    assert code == 0
+    assert out == '{"schema": 1, "sequence": [1, 0, 1, 0], "matrix": [[1, 0], [0, 1]], "solution": true}\n'
+    code, out, _ = run(capsys, "check-mod2", "1,1,0", "--json")
+    assert code == 1
+    assert out == '{"schema": 1, "sequence": [1, 1, 0], "matrix": [[1, 0], [1, 1]], "solution": false}\n'
+
+
+def test_frieze_file_separates_tables_by_one_blank_line(tmp_path, capsys):
+    batch = tmp_path / "quiddities.txt"
+    batch.write_text("1,3,1,2,2\n\n2,1,2,1\n")
+    code, out, err = run(capsys, "frieze", "@" + str(batch))
+    assert (code, err) == (0, "")
+    assert out == (
+        "  1   1   1   1   1\n"
+        "1   3   1   2   2\n"
+        "  2   2   1   3   1\n"
+        "1   1   1   1   1\n"
+        "\n"
+        "  1   1   1   1\n"
+        "2   1   2   1\n"
+        "  1   1   1   1\n"
+    )
+
+
+def test_enumerate_classes_json(capsys):
+    code, out, _ = run(capsys, "enumerate", "4", "--classes", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "schema": 1,
+        "n": 4,
+        "tuples": 3,
+        "expected": 3,
+        "match": True,
+        "classes": 2,
+        "class_representatives": [[0, 0, 0, 0], [0, 1, 0, 1]],
+    }
