@@ -26,12 +26,7 @@ from .algebra import (
     parse_int_seq,
     parse_mod2_seq,
 )
-from .dissections import (
-    CapExceeded,
-    DEFAULT_POLYGON_CAP,
-    Dissection,
-    DissectionError,
-)
+from .dissections import DEFAULT_POLYGON_CAP, Dissection
 from .enumeration import (
     DEFAULT_INT_CAP,
     DEFAULT_MOD2_CAP,
@@ -40,15 +35,14 @@ from .enumeration import (
     theorem_sweep,
 )
 from .frieze import FriezeError, build_frieze, frieze_to_json_dict, render_text
-from .surgery import (
-    AllEven,
-    NotASolution,
-    SurgeryError,
-    realize_dissection,
-    realize_triangulation,
-)
+from .surgery import AllEven, NotASolution, realize_dissection, realize_triangulation
 
-_SWEEP_CHOICES = ("all", "thm1") + SWEEP_NAMES
+# each --sweep choice and the sweeps it runs, in order
+_SWEEPS = {
+    "all": SWEEP_NAMES,
+    "thm1": ("thm1i", "thm1ii"),
+    **{name: (name,) for name in SWEEP_NAMES},
+}
 
 
 def _env_cap(name: str, default: int) -> int:
@@ -93,10 +87,12 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--pm", action="store_true", help="compare against +Id/-Id")
     group.add_argument("--mod", type=int, metavar="N", help="test membership in the level-N congruence subgroup")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=_cmd_check)
 
     p = sub.add_parser("check-mod2", help="test a 0/1 sequence for mod-2 solubility")
     p.add_argument("sequence", help="comma-separated 0/1 entries, or @file")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=_cmd_check_mod2)
 
     p = sub.add_parser("quiddity", help="read a dissection JSON file and print a quiddity")
     p.add_argument("dissection", help="path to dissection JSON, or - for stdin")
@@ -104,24 +100,28 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--cc", action="store_true", help="cells incident to each vertex")
     group.add_argument("--mod2", action="store_true", help="parity of triangles at each vertex")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=_cmd_quiddity)
 
     p = sub.add_parser("realize", help="build a dissection realizing a mod-2 solution")
     p.add_argument("sequence", help="comma-separated 0/1 entries, or @file")
     p.add_argument("--triangulation", action="store_true", help="build a triangulation (needs an odd entry)")
     p.add_argument("--dot", metavar="PATH", help="also write a DOT rendering")
     p.add_argument("--geometry", choices=["circle"], help="pin DOT vertices to the unit circle")
+    p.set_defaults(run=_cmd_realize)
 
     p = sub.add_parser("frieze", help="build and render the frieze of a quiddity")
     p.add_argument("sequence", help="comma-separated positive integers, or @file")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=_cmd_frieze)
 
     p = sub.add_parser("enumerate", help="enumerate solutions and run verification sweeps")
     p.add_argument("n", type=int)
     p.add_argument("--classes", action="store_true", help="also list rotation-class representatives")
     p.add_argument("--tuples", action="store_true", help="list all solution tuples")
     p.add_argument("--verify-jacobsthal", action="store_true", help="check the count against the closed form")
-    p.add_argument("--sweep", choices=_SWEEP_CHOICES, help="run a verification sweep up to n")
+    p.add_argument("--sweep", choices=_SWEEPS, help="run a verification sweep up to n")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=_cmd_enumerate)
 
     return parser
 
@@ -222,27 +222,18 @@ def _cmd_frieze(args) -> int:
     return 0
 
 
-def _expand_sweeps(choice: str) -> tuple[str, ...]:
-    if choice == "all":
-        return SWEEP_NAMES
-    if choice == "thm1":
-        return ("thm1i", "thm1ii")
-    return (choice,)
-
-
-def _cmd_enumerate(args, caps) -> int:
-    mod2_cap, polygon_cap, int_cap = caps
+def _cmd_enumerate(args) -> int:
     if args.sweep:
         status = 0
         results = []
-        for which in _expand_sweeps(args.sweep):
+        for which in _SWEEPS[args.sweep]:
             report = theorem_sweep(
                 which,
                 3,
                 args.n,
-                polygon_cap=polygon_cap,
-                mod2_cap=mod2_cap,
-                int_cap=int_cap,
+                polygon_cap=args.polygon_cap,
+                mod2_cap=args.mod2_cap,
+                int_cap=args.int_cap,
             )
             results.append(report)
             if not report.ok:
@@ -270,7 +261,7 @@ def _cmd_enumerate(args, caps) -> int:
                     print(f"  {line}")
         return status
 
-    report = solution_report(args.n, cap=mod2_cap)
+    report = solution_report(args.n, cap=args.mod2_cap)
     if args.json:
         data = {
             "schema": 1,
@@ -310,28 +301,14 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
 
     try:
-        caps = (
-            _env_cap("QUIDDITY_MOD2_CAP", DEFAULT_MOD2_CAP),
-            _env_cap("QUIDDITY_POLYGON_CAP", DEFAULT_POLYGON_CAP),
-            _env_cap("QUIDDITY_INT_CAP", DEFAULT_INT_CAP),
-        )
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "check-mod2":
-            return _cmd_check_mod2(args)
-        if args.command == "quiddity":
-            return _cmd_quiddity(args)
-        if args.command == "realize":
-            return _cmd_realize(args)
-        if args.command == "frieze":
-            return _cmd_frieze(args)
-        if args.command == "enumerate":
-            return _cmd_enumerate(args, caps)
-        raise AssertionError(f"unhandled command {args.command}")
+        args.mod2_cap = _env_cap("QUIDDITY_MOD2_CAP", DEFAULT_MOD2_CAP)
+        args.polygon_cap = _env_cap("QUIDDITY_POLYGON_CAP", DEFAULT_POLYGON_CAP)
+        args.int_cap = _env_cap("QUIDDITY_INT_CAP", DEFAULT_INT_CAP)
+        return args.run(args)
     except (NotASolution, AllEven, FriezeError) as exc:
         print(f"quiddity: {exc}", file=sys.stderr)
         return 1
-    except (CapExceeded, DissectionError, SurgeryError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"quiddity: {exc}", file=sys.stderr)
         return 2
 

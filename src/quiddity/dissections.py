@@ -17,6 +17,7 @@ cells meeting each vertex; the enumeration walk keeps the latter as cells close.
 import json
 import math
 import operator
+from bisect import bisect_left, bisect_right
 from typing import Callable, Iterator, NamedTuple
 
 from .algebra import Mod2Seq, IntSeq
@@ -61,6 +62,11 @@ class CrossingDiagonals(DissectionError):
 
 class CapExceeded(ValueError):
     """An enumeration was requested beyond its configured size cap."""
+
+
+def _check_cap(n: int, what: str, cap: int) -> None:
+    if n > cap:
+        raise CapExceeded(f"n={n} exceeds the {what} cap {cap}")
 
 
 class DissectionFlags(NamedTuple):
@@ -136,8 +142,12 @@ class Dissection:
 
         Non-crossing diagonals nest like parentheses: sorted by left end
         ascending and right end descending, each must close before, or
-        inside, the innermost one still open.  That is O(n + d log d); on a
-        failure the pairwise scan names the first crossing pair.
+        inside, the innermost one still open.  That is O(n + d log d).  On a
+        failure the first crossing pair in lexicographic order is named, in
+        O(d log d): a later diagonal crosses (a, b) exactly when its left
+        end lies strictly between a and b and its right end past b, so a
+        sparse table of range maxima over the right ends finds the first
+        (a, b) with such a partner.
         """
         if self._n < 3:
             raise DissectionError(f"a polygon needs at least 3 vertices, got n={self._n}")
@@ -156,10 +166,19 @@ class Dissection:
             open_rights.append(b)
         else:
             return
-        for x in range(len(ds)):
-            for y in range(x + 1, len(ds)):
-                if _crosses(ds[x], ds[y]):
-                    raise CrossingDiagonals(ds[x], ds[y])
+        lefts = [a for a, _ in ds]
+        # table[k][i] = the largest right end among ds[i : i + 2**k]
+        table = [[b for _, b in ds]]
+        while 2 ** len(table) <= len(ds):
+            row, half = table[-1], 2 ** (len(table) - 1)
+            table.append([max(row[i], row[i + half]) for i in range(len(row) - half)])
+        for x in ds:
+            lo, hi = bisect_right(lefts, x[0]), bisect_left(lefts, x[1])
+            if lo < hi:
+                k = (hi - lo).bit_length() - 1
+                if max(table[k][lo], table[k][hi - 2 ** k]) > x[1]:
+                    y = next(y for y in ds[lo:hi] if _crosses(x, y))
+                    raise CrossingDiagonals(x, y)
 
     def cells(self) -> tuple[tuple[int, ...], ...]:
         """The sub-polygons of the dissection, each as an ascending vertex tuple.
@@ -296,8 +315,7 @@ def _walk(n: int, kind: str, cap: int) -> Iterator[tuple[list, Callable[[], Mod2
     n = operator.index(n)
     if n < 3:
         raise DissectionError(f"a polygon needs at least 3 vertices, got n={n}")
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds the polygon cap {cap}")
+    _check_cap(n, "polygon", cap)
 
     rule = _CELL_RULES.get(kind, lambda s: True)
     allowed = {s for s in range(3, n + 1) if rule(s)}

@@ -32,10 +32,10 @@ from .algebra import (
     min_rotation,
 )
 from .dissections import (
-    CapExceeded,
     DEFAULT_POLYGON_CAP,
     Dissection,
     _cc_quiddity,
+    _check_cap,
     _walk,
 )
 from .surgery import realize_dissection, realize_triangulation
@@ -66,8 +66,7 @@ def solutions_gamma2(n: int, cap: int = DEFAULT_MOD2_CAP) -> list[Mod2Seq]:
     n = operator.index(n)
     if n < 1:
         raise ValueError(f"length must be at least 1, got {n}")
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds the mod-2 cap {cap}")
+    _check_cap(n, "mod-2", cap)
 
     out: list[Mod2Seq] = []
     prefix: list[int] = []
@@ -118,8 +117,7 @@ def solutions_pm_identity(
     n = operator.index(n)
     if n < 1:
         raise ValueError(f"length must be at least 1, got {n}")
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds the integer-search cap {cap}")
+    _check_cap(n, "integer-search", cap)
     entry_cap = max(1, n - 2) if entry_cap is None else operator.index(entry_cap)
     if entry_cap < 1:
         raise ValueError(f"entry cap must be at least 1, got {entry_cap}")
@@ -212,18 +210,33 @@ def theorem_sweep(
     thm1i, thm2 and thm3 read parities and degrees off the dissection walk.
     ``converse_hi`` gates the integer search of thm2 and thm3 (entries up to
     n - 2, about (n-2)^(n/2) products), so above it only the forward
-    direction is checked and no n is vacuous.  Bounds are read with
-    ``operator.index``; a range holding no n >= 3 raises ``ValueError``.
+    direction is checked and no n is vacuous.  Bounds and caps are read
+    with ``operator.index``; a range holding no n >= 3 raises ``ValueError``,
+    and one reaching past a cap raises ``CapExceeded`` before any work.
     """
     if which not in SWEEP_NAMES:
         raise ValueError(f"unknown sweep {which!r}; expected one of {SWEEP_NAMES}")
-    n_lo, n_hi, converse_hi = map(operator.index, (n_lo, n_hi, converse_hi))
-    if max(n_lo, 3) > n_hi:
+    n_lo, n_hi, converse_hi, polygon_cap, mod2_cap, int_cap = map(
+        operator.index, (n_lo, n_hi, converse_hi, polygon_cap, mod2_cap, int_cap)
+    )
+    start = max(n_lo, 3)
+    if start > n_hi:
         raise ValueError(f"sweep range {n_lo}..{n_hi} contains no polygon size n >= 3")
+    # the caps the per-n calls meet, in call order, each with the last n it
+    # is met at; raise now what the loop would raise first
+    if which in ("thm1ii", "remark"):
+        met = [("mod-2", mod2_cap, n_hi)]
+    else:
+        met = [("polygon", polygon_cap, n_hi)]
+    if which in ("thm2", "thm3"):
+        met.append(("integer-search", int_cap, min(n_hi, converse_hi)))
+    over = [(max(start, cap + 1), what, cap) for what, cap, last in met if max(start, cap + 1) <= last]
+    if over:
+        _check_cap(*min(over, key=lambda o: o[0]))
     checked = 0
     bad: list[str] = []
 
-    for n in range(max(n_lo, 3), n_hi + 1):
+    for n in range(start, n_hi + 1):
         if which == "thm1i":
             for chosen, parities in _walk(n, "34", polygon_cap):
                 checked += 1
@@ -260,17 +273,16 @@ def theorem_sweep(
             for chosen, _ in _walk(n, "3d", polygon_cap):
                 checked += 1
                 quiddities.add(_cc_quiddity(n, chosen))
+            for q in sorted(quiddities):
+                if classify_pm_identity(m_product(q)) is MatClass.OTHER:
+                    bad.append(f"n={n}: quiddity {format_seq(q)} is not a +/-Id solution")
+            # cc entries are at most n - 2, the search's entry cap, so the
+            # forward loop has checked quiddities - solutions already
             if n <= converse_hi:
                 solutions = {s for s, _ in solutions_pm_identity(n, cap=int_cap)}
                 checked += len(solutions)
-                for q in sorted(quiddities - solutions):
-                    bad.append(f"n={n}: quiddity {format_seq(q)} is not a +/-Id solution")
                 for s in sorted(solutions - quiddities):
                     bad.append(f"n={n}: solution {format_seq(s)} is not a 3d quiddity")
-            else:
-                for q in sorted(quiddities):
-                    if classify_pm_identity(m_product(q)) is MatClass.OTHER:
-                        bad.append(f"n={n}: quiddity {format_seq(q)} is not a +/-Id solution")
         elif which == "remark":
             for s in solutions_gamma2(n, cap=mod2_cap):
                 if 1 not in s:

@@ -90,9 +90,7 @@ def build_frieze(quiddity) -> FriezePattern:
         r = len(rows) + 1
         new = []
         for k in range(n):
-            north = prev[(k + 1) % n]
-            if north == 0:
-                raise NonPositiveEntry(r - 2, (k + 1) % n + 1, 0)
+            north = prev[(k + 1) % n]  # positive, as every stored entry is
             value, rem = divmod(cur[k] * cur[(k + 1) % n] - 1, north)
             if rem:
                 raise NonIntegralEntry(r, k + 1)

@@ -30,6 +30,17 @@ def test_validate_examples():
     assert err.value.first == (1, 3) and err.value.second == (2, 4)
 
 
+def test_validate_names_one_crossing_pair_among_20000_diagonals():
+    # 19,998 nested diagonals around a crossing pair deep inside; the
+    # pairwise scan would test about 2 * 10^8 pairs
+    m = 19_998
+    n = 2 * m + 16
+    nested = [(k, n - k) for k in range(1, m + 1)]
+    with pytest.raises(CrossingDiagonals) as err:
+        Dissection(n, [*nested, (m + 2, m + 5), (m + 4, m + 8)])
+    assert (err.value.first, err.value.second) == ((m + 2, m + 5), (m + 4, m + 8))
+
+
 def test_validate_rejects_bad_diagonals():
     with pytest.raises(DiagonalOutOfRange):
         Dissection(5, [(1, 6)])

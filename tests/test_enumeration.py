@@ -15,6 +15,7 @@ from quiddity import (
     solutions_pm_identity,
     theorem_sweep,
 )
+from quiddity import enumeration
 
 
 def _mul2(x, y):
@@ -161,6 +162,41 @@ def test_thm3_above_converse_hi_checks_products():
     assert report.checked > 0
     # with the gate lowered, n = 6 checks only the 3d dissections
     assert theorem_sweep("thm3", 6, 6, converse_hi=5).checked < theorem_sweep("thm3", 6, 6).checked
+
+
+def _patch_sweep_workers(monkeypatch, result):
+    for name in ("_walk", "solutions_gamma2", "solutions_pm_identity"):
+        monkeypatch.setattr(enumeration, name, result)
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("a per-n worker ran")
+
+
+@pytest.mark.parametrize("which, n_lo, n_hi, caps, message", [
+    ("thm1i", 3, 13, {}, "n=13 exceeds the polygon cap 12"),
+    ("thm1i", 9, 10, {"polygon_cap": 4}, "n=9 exceeds the polygon cap 4"),
+    ("thm1ii", 3, 21, {}, "n=21 exceeds the mod-2 cap 20"),
+    ("remark", 5, 30, {"mod2_cap": 7}, "n=8 exceeds the mod-2 cap 7"),
+    ("thm2", 3, 10, {"int_cap": 5}, "n=6 exceeds the integer-search cap 5"),
+    ("thm3", 3, 13, {"converse_hi": 9}, "n=9 exceeds the integer-search cap 8"),
+    # the converse gate keeps the integer search under its cap
+    ("thm3", 3, 13, {}, "n=13 exceeds the polygon cap 12"),
+    # at one n the loop walks the polygon before it searches
+    ("thm2", 3, 10, {"polygon_cap": 8, "converse_hi": 10}, "n=9 exceeds the polygon cap 8"),
+])
+def test_sweep_past_a_cap_raises_before_any_work(monkeypatch, which, n_lo, n_hi, caps, message):
+    _patch_sweep_workers(monkeypatch, _never_called)
+    with pytest.raises(CapExceeded) as err:
+        theorem_sweep(which, n_lo, n_hi, **caps)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("which", ["thm1i", "thm1ii", "thm2", "thm3", "remark"])
+def test_sweep_up_to_its_caps_runs(monkeypatch, which):
+    _patch_sweep_workers(monkeypatch, lambda *args, **kwargs: [])
+    report = theorem_sweep(which, 3, 6, polygon_cap=6, mod2_cap=6, int_cap=6, converse_hi=6)
+    assert (report.checked, report.counterexamples) == (0, ())
 
 
 @pytest.mark.parametrize("which", ["thm1i", "thm1ii", "thm2", "thm3", "remark"])

@@ -100,6 +100,26 @@ def test_validate_matches_pairwise_scan_on_random_sets():
     assert {None, "CrossingDiagonals", "SideAsDiagonal", "DiagonalOutOfRange"} <= kinds
 
 
+def test_validate_names_the_pairwise_pair_among_many_diagonals():
+    # a non-crossing set plus a few random diagonals, so that the crossing
+    # pairs sit among long runs of nested and disjoint ones
+    rng = random.Random(22)
+    crossings = 0
+    for _ in range(800):
+        n = rng.randint(8, 40)
+        proper = [(i, j) for i in range(1, n - 1) for j in range(i + 2, n + 1) if (i, j) != (1, n)]
+        rng.shuffle(proper)
+        diagonals = []
+        for p in proper:
+            if not any(dissections._crosses(p, q) or dissections._crosses(q, p) for q in diagonals):
+                diagonals.append(p)
+        diagonals += rng.sample(proper, rng.randint(1, 3))
+        got = _crossing_pair(_validate, n, diagonals)
+        assert got == _crossing_pair(_reference_validate, n, diagonals), (n, diagonals)
+        crossings += got is not None
+    assert crossings > 500
+
+
 def test_validate_scans_pairs_only_on_a_crossing(monkeypatch):
     valid = [d for n in range(3, 9) for d in dissections.enumerate_dissections(n)]
     valid.append(realize_dissection(_random_solution(500, 1)))
