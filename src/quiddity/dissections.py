@@ -172,13 +172,14 @@ class Dissection:
         while 2 ** len(table) <= len(ds):
             row, half = table[-1], 2 ** (len(table) - 1)
             table.append([max(row[i], row[i + half]) for i in range(len(row) - half)])
-        for x in ds:
-            lo, hi = bisect_right(lefts, x[0]), bisect_left(lefts, x[1])
+        for a, b in ds:
+            # ds[lo:hi] are the diagonals with a left end strictly between a and b
+            lo, hi = bisect_right(lefts, a), bisect_left(lefts, b)
             if lo < hi:
                 k = (hi - lo).bit_length() - 1
-                if max(table[k][lo], table[k][hi - 2 ** k]) > x[1]:
-                    y = next(y for y in ds[lo:hi] if _crosses(x, y))
-                    raise CrossingDiagonals(x, y)
+                if max(table[k][lo], table[k][hi - 2 ** k]) > b:
+                    y = next(y for y in ds[lo:hi] if _crosses((a, b), y))
+                    raise CrossingDiagonals((a, b), y)
 
     def cells(self) -> tuple[tuple[int, ...], ...]:
         """The sub-polygons of the dissection, each as an ascending vertex tuple.
