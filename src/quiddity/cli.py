@@ -31,6 +31,7 @@ from .enumeration import (
     DEFAULT_INT_CAP,
     DEFAULT_MOD2_CAP,
     SWEEP_NAMES,
+    _check_sweep,
     solution_report,
     theorem_sweep,
 )
@@ -105,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("realize", help="build a dissection realizing a mod-2 solution")
     p.add_argument("sequence", help="comma-separated 0/1 entries, or @file")
     p.add_argument("--triangulation", action="store_true", help="build a triangulation (needs an odd entry)")
-    p.add_argument("--dot", metavar="PATH", help="also write a DOT rendering")
+    p.add_argument("--dot", metavar="PATH", help="also write a DOT rendering (one sequence only)")
     p.add_argument("--geometry", choices=["circle"], help="pin DOT vertices to the unit circle")
     p.set_defaults(run=_cmd_realize)
 
@@ -198,7 +199,10 @@ def _cmd_quiddity(args) -> int:
 
 
 def _cmd_realize(args) -> int:
-    for text in _sequences(args.sequence):
+    texts = _sequences(args.sequence)
+    if args.dot and len(texts) > 1:
+        raise ValueError(f"--dot takes one sequence, got {len(texts)} from {args.sequence}")
+    for text in texts:
         seq = parse_mod2_seq(text)
         d = realize_triangulation(seq) if args.triangulation else realize_dissection(seq)
         print(d.to_json())
@@ -224,20 +228,11 @@ def _cmd_frieze(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     if args.sweep:
-        status = 0
-        results = []
+        caps = {"polygon_cap": args.polygon_cap, "mod2_cap": args.mod2_cap, "int_cap": args.int_cap}
+        # every chosen sweep's range and caps before the first one runs
         for which in _SWEEPS[args.sweep]:
-            report = theorem_sweep(
-                which,
-                3,
-                args.n,
-                polygon_cap=args.polygon_cap,
-                mod2_cap=args.mod2_cap,
-                int_cap=args.int_cap,
-            )
-            results.append(report)
-            if not report.ok:
-                status = 1
+            _check_sweep(which, 3, args.n, **caps)
+        results = [theorem_sweep(which, 3, args.n, **caps) for which in _SWEEPS[args.sweep]]
         if args.json:
             _emit({
                 "schema": 1,
@@ -259,7 +254,7 @@ def _cmd_enumerate(args) -> int:
                 )
                 for line in r.counterexamples:
                     print(f"  {line}")
-        return status
+        return 0 if all(r.ok for r in results) else 1
 
     report = solution_report(args.n, cap=args.mod2_cap)
     if args.json:

@@ -60,6 +60,9 @@ DEFAULT_INT_CAP = 8
 
 SWEEP_NAMES = ("thm1i", "thm1ii", "thm2", "thm3", "remark")
 
+# default top n of the thm2/thm3 integer-search converse
+_CONVERSE_HI = 7
+
 
 def solutions_gamma2(n: int, cap: int = DEFAULT_MOD2_CAP) -> list[Mod2Seq]:
     """All tuples in {0,1}^n with mod-2 product Id, in lex order, walking ``_MOD2_STEPS``."""
@@ -182,6 +185,39 @@ class SweepReport:
         return not self.counterexamples
 
 
+def _check_sweep(
+    which: str,
+    n_lo: int,
+    n_hi: int,
+    *,
+    polygon_cap: int,
+    mod2_cap: int,
+    int_cap: int,
+    converse_hi: int = _CONVERSE_HI,
+) -> int:
+    """First n of the sweep ``which`` over [n_lo, n_hi], after its range and cap checks.
+
+    Raises ``ValueError`` for a range holding no n >= 3, and the
+    ``CapExceeded`` that the sweep's loop would raise first, so a caller can
+    check several sweeps before running any.
+    """
+    start = max(n_lo, 3)
+    if start > n_hi:
+        raise ValueError(f"sweep range {n_lo}..{n_hi} contains no polygon size n >= 3")
+    # the caps the per-n calls meet, in call order, each with the last n it
+    # is met at; raise now what the loop would raise first
+    if which in ("thm1ii", "remark"):
+        met = [("mod-2", mod2_cap, n_hi)]
+    else:
+        met = [("polygon", polygon_cap, n_hi)]
+    if which in ("thm2", "thm3"):
+        met.append(("integer-search", int_cap, min(n_hi, converse_hi)))
+    over = [(max(start, cap + 1), what, cap) for what, cap, last in met if max(start, cap + 1) <= last]
+    if over:
+        _check_cap(*min(over, key=lambda o: o[0]))
+    return start
+
+
 def theorem_sweep(
     which: str,
     n_lo: int = 3,
@@ -190,7 +226,7 @@ def theorem_sweep(
     polygon_cap: int = DEFAULT_POLYGON_CAP,
     mod2_cap: int = DEFAULT_MOD2_CAP,
     int_cap: int = DEFAULT_INT_CAP,
-    converse_hi: int = 7,
+    converse_hi: int = _CONVERSE_HI,
 ) -> SweepReport:
     """Run one named verification sweep over n in [n_lo, n_hi].
 
@@ -219,20 +255,10 @@ def theorem_sweep(
     n_lo, n_hi, converse_hi, polygon_cap, mod2_cap, int_cap = map(
         operator.index, (n_lo, n_hi, converse_hi, polygon_cap, mod2_cap, int_cap)
     )
-    start = max(n_lo, 3)
-    if start > n_hi:
-        raise ValueError(f"sweep range {n_lo}..{n_hi} contains no polygon size n >= 3")
-    # the caps the per-n calls meet, in call order, each with the last n it
-    # is met at; raise now what the loop would raise first
-    if which in ("thm1ii", "remark"):
-        met = [("mod-2", mod2_cap, n_hi)]
-    else:
-        met = [("polygon", polygon_cap, n_hi)]
-    if which in ("thm2", "thm3"):
-        met.append(("integer-search", int_cap, min(n_hi, converse_hi)))
-    over = [(max(start, cap + 1), what, cap) for what, cap, last in met if max(start, cap + 1) <= last]
-    if over:
-        _check_cap(*min(over, key=lambda o: o[0]))
+    start = _check_sweep(
+        which, n_lo, n_hi, polygon_cap=polygon_cap, mod2_cap=mod2_cap,
+        int_cap=int_cap, converse_hi=converse_hi,
+    )
     checked = 0
     bad: list[str] = []
 

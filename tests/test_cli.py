@@ -375,3 +375,31 @@ def test_enumerate_classes_json(capsys):
         "classes": 2,
         "class_representatives": [[0, 0, 0, 0], [0, 1, 0, 1]],
     }
+
+
+def test_realize_dot_takes_one_sequence(tmp_path, capsys):
+    batch = tmp_path / "seqs.txt"
+    batch.write_text("1,1,1\n0,0,0,0\n")
+    dot = tmp_path / "out.dot"
+    assert run(capsys, "realize", "@" + str(batch), "--dot", str(dot)) == (
+        2, "", f"quiddity: --dot takes one sequence, got 2 from @{batch}\n"
+    )
+    assert not dot.exists()
+
+
+def test_realize_dot_from_a_one_line_file(tmp_path, capsys):
+    batch = tmp_path / "seq.txt"
+    batch.write_text("0,0,0,0\n")
+    dot = tmp_path / "out.dot"
+    code, out, err = run(capsys, "realize", "@" + str(batch), "--dot", str(dot))
+    assert (code, err) == (0, "")
+    assert Dissection.from_json(out).n == 4
+    assert dot.read_text() == Dissection.from_json(out).to_dot()
+
+
+def test_quiddity_command_rejects_a_json_array(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    assert run(capsys, "quiddity", str(path), "--cc") == (
+        2, "", "quiddity: dissection JSON must be an object\n"
+    )

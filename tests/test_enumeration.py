@@ -6,6 +6,8 @@ import pytest
 
 from quiddity import (
     CapExceeded,
+    Dissection,
+    MatClass,
     cyclic_classes,
     entries_one_check,
     is_gamma2_solution,
@@ -16,6 +18,7 @@ from quiddity import (
     theorem_sweep,
 )
 from quiddity import enumeration
+from quiddity.cli import main
 
 
 def _mul2(x, y):
@@ -192,6 +195,25 @@ def test_sweep_past_a_cap_raises_before_any_work(monkeypatch, which, n_lo, n_hi,
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("argv, env, message", [
+    (["12", "--sweep", "all"], {"QUIDDITY_INT_CAP": "5"}, "n=6 exceeds the integer-search cap 5"),
+    (["12", "--sweep", "thm1"], {"QUIDDITY_MOD2_CAP": "11"}, "n=12 exceeds the mod-2 cap 11"),
+    (["12", "--sweep", "all"], {"QUIDDITY_POLYGON_CAP": "5", "QUIDDITY_MOD2_CAP": "5"},
+     "n=6 exceeds the polygon cap 5"),
+    # the first failing sweep in run order names its cap, not the lowest n
+    (["12", "--sweep", "all"], {"QUIDDITY_INT_CAP": "5", "QUIDDITY_MOD2_CAP": "11"},
+     "n=12 exceeds the mod-2 cap 11"),
+])
+def test_enumerate_checks_every_chosen_sweep_before_running_one(capsys, monkeypatch, argv, env, message):
+    _patch_sweep_workers(monkeypatch, _never_called)
+    for name in ("QUIDDITY_MOD2_CAP", "QUIDDITY_POLYGON_CAP", "QUIDDITY_INT_CAP"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main(["enumerate", *argv]) == 2
+    assert capsys.readouterr() == ("", f"quiddity: {message}\n")
+
+
 @pytest.mark.parametrize("which", ["thm1i", "thm1ii", "thm2", "thm3", "remark"])
 def test_sweep_up_to_its_caps_runs(monkeypatch, which):
     _patch_sweep_workers(monkeypatch, lambda *args, **kwargs: [])
@@ -246,3 +268,54 @@ def test_solution_report_rejects_non_integer_n(n):
 def test_theorem_sweep_rejects_non_integer_bounds(which, bounds):
     with pytest.raises(TypeError):
         theorem_sweep(which, **{"n_lo": 3, "n_hi": 5, **bounds})
+
+
+def _bare_polygon(s):
+    return Dissection(len(s), [])
+
+
+def test_thm1ii_and_remark_report_a_wrong_realization(monkeypatch):
+    # the bare n-gon realizes (1,1,1) and (0,0,0,0) only; at n = 4 it is a
+    # quadrilateral, so it is no triangulation either
+    monkeypatch.setattr(enumeration, "realize_dissection", _bare_polygon)
+    monkeypatch.setattr(enumeration, "realize_triangulation", _bare_polygon)
+    report = theorem_sweep("thm1ii", 3, 4)
+    assert report.checked == 4
+    assert report.counterexamples == (
+        "n=4: realization of 0,1,0,1 gave Dissection(n=4, diagonals=[])",
+        "n=4: realization of 1,0,1,0 gave Dissection(n=4, diagonals=[])",
+    )
+    report = theorem_sweep("remark", 3, 4)
+    assert report.checked == 3
+    assert report.counterexamples == (
+        "n=4: triangulation of 0,1,0,1 gave Dissection(n=4, diagonals=[])",
+        "n=4: triangulation of 1,0,1,0 gave Dissection(n=4, diagonals=[])",
+    )
+
+
+def test_thm2_reports_a_wrong_sum_and_a_missed_solution(monkeypatch):
+    # every pentagon triangulation reads 1,1,1,1,1: -Id by the patched
+    # classifier, but summing to 5, not 3n - 6 = 9
+    monkeypatch.setattr(enumeration, "_cc_quiddity", lambda n, chosen: (1,) * n)
+    monkeypatch.setattr(enumeration, "classify_pm_identity", lambda m: MatClass.MINUS_ID)
+    # only a -Id solution with the quiddity sum counts against the converse
+    solutions = [((1, 2, 2, 1, 3), 1), ((1, 1, 1, 1, 1), -1), ((1, 2, 2, 1, 3), -1)]
+    monkeypatch.setattr(enumeration, "solutions_pm_identity", lambda *args, **kwargs: solutions)
+    report = theorem_sweep("thm2", 5, 5)
+    assert report.checked == 5 + 3
+    assert report.counterexamples == (
+        *["n=5: triangulation quiddity 1,1,1,1,1 sums to 5"] * 5,
+        "n=5: -Id solution 1,2,2,1,3 with quiddity sum is not a triangulation quiddity",
+    )
+
+
+def test_thm3_reports_solutions_that_are_no_3d_quiddity(monkeypatch):
+    # the triangle's quiddity 1,1,1 is the only 3d quiddity at n = 3
+    solutions = [((3, 1, 3), 1), ((2, 2, 2), 1), ((1, 1, 1), -1)]
+    monkeypatch.setattr(enumeration, "solutions_pm_identity", lambda *args, **kwargs: solutions)
+    report = theorem_sweep("thm3", 3, 3)
+    assert report.checked == 1 + 3
+    assert report.counterexamples == (
+        "n=3: solution 2,2,2 is not a 3d quiddity",
+        "n=3: solution 3,1,3 is not a 3d quiddity",
+    )

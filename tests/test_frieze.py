@@ -138,3 +138,15 @@ def test_json_dict():
         "n": 4,
         "rows": [[1, 1, 1, 1], [1, 2, 1, 2], [1, 1, 1, 1]],
     }
+
+
+def test_validate_frieze_rejects_a_short_period():
+    with pytest.raises(FriezeError, match="period must be at least 3, got 2"):
+        validate_frieze(FriezePattern(2, ((1, 1),)))
+
+
+def test_validate_frieze_rejects_a_row_of_the_wrong_length():
+    pattern = FriezePattern(4, ((1, 1, 1, 1), (1, 2, 1), (1, 1, 1, 1)))
+    with pytest.raises(FriezeError, match="row 2 has period 3, expected 4") as err:
+        validate_frieze(pattern)
+    assert err.value.row == 2

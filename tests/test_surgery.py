@@ -330,3 +330,20 @@ def test_surgery_rejects_bad_sequences():
         alpha((1, 0), 1)
     with pytest.raises(IndexError):
         op_b((0, 0), 3)
+
+
+def test_op_a_on_a_single_entry_closes_a_triangle():
+    # the 1-gon's vertex becomes two neighbors of the new 1, each flipped
+    assert op_a((1,), 1) == (0, 1, 0)
+    assert op_a((0,), 1) == (1, 1, 1)
+
+
+def test_apply_step_rejects_an_unknown_kind():
+    with pytest.raises(SurgeryError, match="unknown step kind 'X'"):
+        apply_step((1, 1, 1), SurgeryStep("X", 1))
+
+
+def test_replay_trace_rejects_a_forward_step():
+    trace = SurgeryTrace((1, 1, 1), (SurgeryStep("A", 1),))
+    with pytest.raises(SurgeryError, match="cannot replay step kind 'A'"):
+        replay_trace(trace)
