@@ -185,8 +185,9 @@ def in_principal_congruence(m: Mat2, modulus: int) -> bool:
 
 
 # The six elements of SL(2, F2): state s is M(w) mod 2 for the s-th word w of
-# (), (0,), (1,), (0, 1), (1, 0), (1, 1), and _MOD2_STEPS[s][e] is M(w + (e,)).
+# _MOD2_WORDS, and _MOD2_STEPS[s][e] is M(w + (e,)).
 _MOD2_STEPS = ((1, 2), (0, 3), (4, 5), (5, 4), (2, 1), (3, 0))
+_MOD2_WORDS = ((), (0,), (1,), (0, 1), (1, 0), (1, 1))
 
 
 def is_gamma2_solution(seq) -> bool:

@@ -12,6 +12,8 @@ Quiddities read the dissection back off as a sequence: ``quiddity_cc``
 counts the cells meeting each vertex (one more than the number of
 diagonals there), ``quiddity_mod2`` the parity of the number of triangle
 cells meeting each vertex; the enumeration walk keeps the latter as cells close.
+The count of ``_count_states`` sorts the dissections of a kind by the mod-2
+product of their parity quiddity without listing them.
 """
 
 import json
@@ -20,7 +22,7 @@ import operator
 from bisect import bisect_left, bisect_right
 from typing import Callable, Iterator, NamedTuple
 
-from .algebra import Mod2Seq, IntSeq
+from .algebra import _MOD2_STEPS, _MOD2_WORDS, IntSeq, Mod2Seq
 
 __all__ = [
     "DEFAULT_POLYGON_CAP",
@@ -297,6 +299,18 @@ def enumerate_dissections(
         yield Dissection(n, tuple(chosen), check=False)
 
 
+def _cell_sizes(n: int, kind: str, cap: int) -> tuple[int, set[int]]:
+    """Check the arguments of ``_walk`` or ``_count_states``; return n and the cell sizes of the kind."""
+    if kind not in _KINDS:
+        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
+    n = operator.index(n)
+    if n < 3:
+        raise DissectionError(f"a polygon needs at least 3 vertices, got n={n}")
+    _check_cap(n, "polygon", cap)
+    rule = _CELL_RULES.get(kind, lambda s: True)
+    return n, {s for s in range(3, n + 1) if rule(s)}
+
+
 def _walk(n: int, kind: str, cap: int) -> Iterator[tuple[list, Callable[[], Mod2Seq]]]:
     """Check the arguments, then yield ``(chosen, parities)`` for each set of the kind.
 
@@ -311,15 +325,7 @@ def _walk(n: int, kind: str, cap: int) -> Iterator[tuple[list, Callable[[], Mod2
     u - 1.  Subtrees whose cells break the kind's rule are cut off; a set is
     yielded when its open cells, closed with no more diagonals, keep it.
     """
-    if kind not in _KINDS:
-        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
-    n = operator.index(n)
-    if n < 3:
-        raise DissectionError(f"a polygon needs at least 3 vertices, got n={n}")
-    _check_cap(n, "polygon", cap)
-
-    rule = _CELL_RULES.get(kind, lambda s: True)
-    allowed = {s for s in range(3, n + 1) if rule(s)}
+    n, allowed = _cell_sizes(n, kind, cap)
     # a cell never loses a vertex, so one past this size is a dead end
     largest = max(allowed)
     chosen: list[tuple[int, int]] = []
@@ -390,3 +396,62 @@ def _walk(n: int, kind: str, cap: int) -> Iterator[tuple[list, Callable[[], Mod2
                 stack.append(cell)
 
     return rec(1, 3, 1)
+
+
+def _count_states(n: int, kind: str, cap: int) -> list[tuple[Mod2Seq, int]]:
+    """Count the dissections of the n-gon of ``kind`` by the class of their parity quiddity.
+
+    Checks the arguments as ``_walk`` does.  Returns sorted ``(word, count)``
+    pairs: ``count`` dissections have a parity quiddity q with the mod-2
+    product of ``word``, which is E(q_1) * g * E(q_n) for the product g of
+    q_2 .. q_{n-1}.
+
+    A segment i..j closed by the chord (i, j), or by the side (1, n), has
+    the state (a, b, g): the triangle parities its cells add at i and at j,
+    and the mod-2 product g of its interior entries, one of the six states
+    of ``_MOD2_STEPS``.  A segment of length 1 is a side, (0, 0, Id).  A
+    longer one is a root cell, whose corners i = u_0 < ... < u_t = j split
+    it into t shorter segments (Flajolet-Sedgewick's decomposition of
+    polygon dissections by root cell).  Joining them left to right puts
+    E(b_k + a_{k+1}) between the products of neighbours, plus 1 at every
+    corner of a triangle.  Segments depend only on their length, so one
+    table by length, up to n - 1, gives the n-gon.
+    """
+    n, allowed = _cell_sizes(n, kind, cap)
+
+    def times(g: int, word: tuple) -> int:
+        for e in word:
+            g = _MOD2_STEPS[g][e]
+        return g
+
+    mul = [[times(g, word) for word in _MOD2_WORDS] for g in range(6)]  # mul[g][h] = g * h
+
+    def join(left: dict, right: dict, tau: int, out: dict) -> None:
+        # each run of ``left`` followed by each segment of ``right``
+        for (a0, b, g), m in left.items():
+            for (a, b2, h), k in right.items():
+                key = a0, b2, mul[_MOD2_STEPS[g][b ^ a ^ tau]][h]
+                out[key] = out.get(key, 0) + m * k
+
+    segments = {1: {(0, 0, 0): 1}}  # by length
+    # runs[t][length]: t segments side by side under a cell of 4 or more
+    # corners, for t up to the largest such cell's ``most`` segments
+    runs = {1: segments}
+    most = max(allowed) - 1 if max(allowed) > 3 else 1
+    for length in range(2, n):
+        closed = {}
+        for t in range(2, min(most, length) + 1):
+            runs.setdefault(t, {})[length] = run = {}
+            for x in range(1, length - t + 2):
+                join(runs[t - 1][length - x], segments[x], 0, run)
+            if t > 2 and t + 1 in allowed:  # triangles close below
+                for key, m in run.items():
+                    closed[key] = closed.get(key, 0) + m
+        triangles = {}  # every kind allows them
+        for x in range(1, length):
+            join(segments[length - x], segments[x], 1, triangles)
+        for (a, b, g), m in triangles.items():
+            key = a ^ 1, b ^ 1, g
+            closed[key] = closed.get(key, 0) + m
+        segments[length] = closed
+    return sorted(((a, *_MOD2_WORDS[g], b), m) for (a, b, g), m in segments[n - 1].items())

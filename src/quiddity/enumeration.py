@@ -12,7 +12,10 @@ matched against inverse suffix products, and the matches are sorted.
 ``theorem_sweep`` cross-checks the combinatorial characterizations at desk
 scale (dissections -> quiddities -> membership, and solutions ->
 realization -> round trip); dissection sweeps build a ``Dissection`` only
-for a counterexample, and none is expected.
+for a counterexample, and none is expected.  thm1i does not list the
+{3,4} dissections: it counts them over the 24 states of ``_count_states``
+and decides each of the few classes, walking the dissections only to name
+the counterexamples of a failing class.
 """
 
 import operator
@@ -36,6 +39,7 @@ from .dissections import (
     Dissection,
     _cc_quiddity,
     _check_cap,
+    _count_states,
     _walk,
 )
 from .surgery import realize_dissection, realize_triangulation
@@ -243,7 +247,12 @@ def theorem_sweep(
     remark  every solution with an odd entry is realized by a triangulation
             with the exact quiddity.
 
-    thm1i, thm2 and thm3 read parities and degrees off the dissection walk.
+    thm1i counts the dissections by the class of their parity quiddity,
+    E(q_1) * (product of q_2 .. q_{n-1}) * E(q_n) in SL(2, F2), and decides
+    each class with ``is_gamma2_solution``; ``checked`` is the count.  Only
+    when a class fails does it walk the dissections, to name each failing
+    one in stream order, and a count the walk does not match is itself a
+    counterexample.  thm2 and thm3 read degrees off the dissection walk.
     ``converse_hi`` gates the integer search of thm2 and thm3 (entries up to
     n - 2, about (n-2)^(n/2) products), so above it only the forward
     direction is checked and no n is vacuous.  Bounds and caps are read
@@ -264,12 +273,19 @@ def theorem_sweep(
 
     for n in range(start, n_hi + 1):
         if which == "thm1i":
-            for chosen, parities in _walk(n, "34", polygon_cap):
-                checked += 1
-                q = parities()
-                if not is_gamma2_solution(q):
-                    d = Dissection(n, tuple(chosen), check=False)
-                    bad.append(f"n={n}: quiddity {format_seq(q)} of {d!r} is not a solution")
+            classes = _count_states(n, "34", polygon_cap)
+            checked += sum(count for _, count in classes)
+            failing = sum(count for word, count in classes if not is_gamma2_solution(word))
+            if failing:
+                named = []
+                for chosen, parities in _walk(n, "34", polygon_cap):
+                    q = parities()
+                    if not is_gamma2_solution(q):
+                        d = Dissection(n, tuple(chosen), check=False)
+                        named.append(f"n={n}: quiddity {format_seq(q)} of {d!r} is not a solution")
+                bad += named
+                if len(named) != failing:
+                    bad.append(f"n={n}: {failing} dissections counted as failing, {len(named)} found")
         elif which == "thm1ii":
             for s in solutions_gamma2(n, cap=mod2_cap):
                 checked += 1

@@ -168,7 +168,7 @@ def test_thm3_above_converse_hi_checks_products():
 
 
 def _patch_sweep_workers(monkeypatch, result):
-    for name in ("_walk", "solutions_gamma2", "solutions_pm_identity"):
+    for name in ("_walk", "_count_states", "solutions_gamma2", "solutions_pm_identity"):
         monkeypatch.setattr(enumeration, name, result)
 
 

@@ -3,7 +3,9 @@
 ``theorem_sweep`` reads the walk behind ``enumerate_dissections`` directly:
 its diagonal list, the cc quiddity as 1 + the diagonal degrees, and the
 triangle parities it keeps as cells close.  These tests pin all three, and
-the sweep and CLI outputs built on them.
+the sweep and CLI outputs built on them.  thm1i decides by the count of
+``_count_states`` and walks only to name counterexamples, so the count is
+pinned to the walk too.
 """
 
 import functools
@@ -19,9 +21,10 @@ from quiddity import (
     solutions_pm_identity,
     theorem_sweep,
 )
-from quiddity import enumeration
+from quiddity import dissections, enumeration
+from quiddity.algebra import _MOD2_STEPS, _MOD2_WORDS
 from quiddity.cli import main
-from quiddity.dissections import _cc_quiddity, _walk
+from quiddity.dissections import _cc_quiddity, _count_states, _walk
 
 KINDS = ("all", "triangulation", "34", "3d")
 
@@ -124,3 +127,77 @@ def test_sweep_all_prints_the_recorded_output(flags, want, capsys, default_caps)
 def test_sweep_past_the_default_polygon_cap_is_a_usage_error(capsys, default_caps):
     assert main(["enumerate", "13", "--sweep", "thm1i"]) == 2
     assert capsys.readouterr() == ("", "quiddity: n=13 exceeds the polygon cap 12\n")
+
+
+def _mod2_state(word):
+    state = 0
+    for e in word:
+        state = _MOD2_STEPS[state][e]
+    return state
+
+
+def _class_word(q):
+    # the count's key for a parity quiddity: q_1, the word of the product of
+    # q_2 .. q_{n-1}, q_n
+    return (q[0], *_MOD2_WORDS[_mod2_state(q[1:-1])], q[-1])
+
+
+def test_mod2_words_name_their_states():
+    assert [_mod2_state(word) for word in _MOD2_WORDS] == list(range(6))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", range(3, 12))
+def test_count_total_is_the_enumeration_length(n, kind):
+    total = sum(count for _, count in _count_states(n, kind, n))
+    assert total == sum(1 for _ in enumerate_dissections(n, kind))
+
+
+@pytest.mark.parametrize("n", range(3, 12))
+def test_count_classes_are_the_walk_histogram(n):
+    want = {}
+    for _, parities in _walk(n, "34", n):
+        key = _class_word(parities())
+        want[key] = want.get(key, 0) + 1
+    assert _count_states(n, "34", n) == sorted(want.items())
+
+
+@pytest.mark.parametrize("args, error", [
+    ((2, "34", 12), dissections.DissectionError),
+    ((13, "34", 12), dissections.CapExceeded),
+    ((5, "45", 12), ValueError),
+    ((5.0, "34", 12), TypeError),
+])
+def test_count_checks_its_arguments_as_the_walk_does(args, error):
+    with pytest.raises(error) as walked:
+        _walk(*args)
+    with pytest.raises(error) as counted:
+        _count_states(*args)
+    assert str(counted.value) == str(walked.value)
+
+
+def test_thm1i_names_the_failing_sets_when_pentagons_are_admitted(monkeypatch):
+    # the count and the walk both read the patched rule, so the sweep must
+    # find failing classes and name every failing set in stream order
+    monkeypatch.setitem(dissections._CELL_RULES, "34", lambda s: s in (3, 4, 5))
+    sets, want = 0, []
+    for chosen, parities in _walk(9, "34", 12):
+        sets += 1
+        q = parities()
+        if not enumeration.is_gamma2_solution(q):
+            d = Dissection(9, tuple(chosen))
+            want.append(f"n=9: quiddity {format_seq(q)} of {d!r} is not a solution")
+    report = theorem_sweep("thm1i", 9, 9)
+    assert len(want) == 1044
+    assert (report.checked, report.counterexamples) == (sets, tuple(want))
+
+
+def test_thm1i_reports_a_counted_failure_the_walk_cannot_name(monkeypatch):
+    # one extra dissection in the class of 0,0,0, whose product is S != Id mod 2
+    monkeypatch.setattr(
+        enumeration, "_count_states", lambda *args: [*_count_states(*args), ((0, 0, 0), 1)]
+    )
+    report = theorem_sweep("thm1i", 6, 6)
+    assert not report.ok
+    assert report.checked == 39
+    assert report.counterexamples == ("n=6: 1 dissections counted as failing, 0 found",)
