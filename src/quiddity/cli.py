@@ -12,6 +12,7 @@ and QUIDDITY_INT_CAP.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -75,6 +76,25 @@ def _emit(data: dict) -> None:
     print(json.dumps(data))
 
 
+@contextlib.contextmanager
+def _all_digits():
+    """Lift CPython's int-to-str digit limit while exact results are printed.
+
+    The limit guards parsing, which keeps it; a product of a long word has
+    more digits than it allows.  Pythons without the limit need nothing.
+    """
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        yield
+        return
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quiddity",
@@ -135,16 +155,17 @@ def _cmd_check(args) -> int:
             m = m_product(seq)
             verdict = classify_pm_identity(m)
             member = verdict is not MatClass.OTHER
-            if args.json:
-                _emit({
-                    "schema": 1,
-                    "sequence": list(seq),
-                    "matrix": [[m.a, m.b], [m.c, m.d]],
-                    "verdict": verdict.value,
-                })
-            else:
-                print(f"M({format_seq(seq)}) = {m}")
-                print(verdict.value)
+            with _all_digits():
+                if args.json:
+                    _emit({
+                        "schema": 1,
+                        "sequence": list(seq),
+                        "matrix": [[m.a, m.b], [m.c, m.d]],
+                        "verdict": verdict.value,
+                    })
+                else:
+                    print(f"M({format_seq(seq)}) = {m}")
+                    print(verdict.value)
         else:
             m = m_product_mod(seq, args.mod)
             member = m == Mat2Mod.identity(args.mod)

@@ -160,7 +160,9 @@ class Dissection:
                 raise SideAsDiagonal((i, j))
         ds = self._diagonals
         open_rights: list[int] = []
-        for a, b in sorted(ds, key=lambda p: (p[0], -p[1])):
+        # ds is sorted, so a stable sort of it reversed by left end alone puts
+        # equal left ends in descending order of right end
+        for a, b in sorted(reversed(ds), key=operator.itemgetter(0)):
             while open_rights and open_rights[-1] <= a:
                 open_rights.pop()
             if open_rights and open_rights[-1] < b:

@@ -19,12 +19,15 @@ step, rebuilds the sequence as the parity quiddity of an explicit
 dissection into triangles and quadrilaterals: Conway--Coxeter ear-cutting
 run backwards.
 
-Both halves are linear apart from list inserts and deletes.  ``_reduce``
-edits one list with a scan pointer: removing the smallest 1 at index i can
-create a new 1 only at index i - 1, or at 0 when the pivot was last.
-``_glue`` keeps the polygon as a cyclic list of stable vertex ids, so
-labels are assigned once at the end, and the finished dissection is
-validated once: every intermediate polygon is a sub-dissection of it.
+Both halves are linear in practice.  ``_reduce`` edits one list with a
+scan pointer: removing the smallest 1 at index i can create a new 1 only
+at index i - 1, or at 0 when the pivot was last.  ``_glue`` keeps the
+polygon as a cyclic list of stable vertex ids, so labels are assigned
+once at the end, and the finished dissection is validated once: every
+intermediate polygon is a sub-dissection of it.  Both lists are kept
+reversed, so a delete or insert at index i of the sequence moves the i
+entries before it rather than the n - i after it; the pivot rule keeps i
+small.  Step indices count 1-based from the start of the sequence.
 
 Matrix invariance of ``alpha``/``op_a`` is a local two-factor identity, so
 it holds for insertion positions 1 <= i <= n-1; at the wrap position i = n
@@ -33,6 +36,7 @@ n = 1 case materializes the single wrapped neighbor twice:
 alpha((c,), 1) = (c+1, 1, c+1).
 """
 
+import operator
 from dataclasses import dataclass
 
 from .algebra import (
@@ -164,15 +168,17 @@ def beta(seq, i: int, split: tuple[int, int] | None = None) -> IntSeq:
     """Replace c_i by (c', 1, 1, c'') with c' + c'' = c_i + 1; flips the sign.
 
     The default split is ``(c_i, 1)``.  The result has length n + 3 and
-    ``m_product`` equal to minus that of the input.
+    ``m_product`` equal to minus that of the input.  A split has exactly
+    two parts, each read with ``operator.index``.
     """
     s = as_int_seq(seq)
     n = len(s)
     _check_index(i, n)
     c = s[i - 1]
-    if split is None:
-        split = (c, 1)
-    left, right = int(split[0]), int(split[1])
+    split = (c, 1) if split is None else tuple(split)
+    if len(split) != 2:
+        raise InvalidSplit(f"split {split} must have exactly two parts")
+    left, right = map(operator.index, split)
     if left < 1 or right < 1 or left + right != c + 1:
         raise InvalidSplit(
             f"split {split} invalid for entry {c}: parts must be positive "
@@ -195,32 +201,40 @@ def _reduce(bits: Mod2Seq, keep_odd: bool) -> tuple[list[tuple[int, int]], Mod2S
     (``realize_triangulation``); with no 1 left, the 0, 0 pair at index 1
     goes.  Returns the steps applied as (k, 1-based index) pairs, k = 1 for
     inverse-a and k = 2 for inverse-b, and the remainder.
+
+    The list ``r`` holds the sequence reversed: entry i (0-based) of the
+    sequence is ``r[m - 1 - i]``, so its cyclic left neighbour is
+    ``r[(j + 1) % m]`` and its right neighbour ``r[j - 1]`` for j = m - 1 - i.
     """
-    t = list(bits)
-    ones = sum(t)
+    r = list(reversed(bits))
+    ones = sum(r)
     steps = []
-    p = 0  # every entry before index p is 0
-    while len(t) > 3:
+    m = len(r)
+    p = m - 1  # every entry after index p is 0
+    while m > 3:
         if not ones:
-            del t[:2]
+            del r[-2:]
+            m -= 2
             steps.append((2, 1))
             continue
-        while not t[p]:
-            p += 1
-        q, m = p, len(t)
+        while not r[p]:
+            p -= 1
+        j = p
         # with keep_odd, skip 1s whose removal (neighbours flipped) leaves no 1
-        while keep_odd and q < m and not (t[q] and ones + 1 - 2 * (t[q - 1] + t[(q + 1) % m])):
-            q += 1
-        if q == m:
+        while keep_odd and j >= 0 and not (r[j] and ones + 1 - 2 * (r[(j + 1) % m] + r[j - 1])):
+            j -= 1
+        if j < 0:
             break
-        right = (q + 1) % m
-        ones += 1 - 2 * (t[q - 1] + t[right])
-        t[q - 1] ^= 1
-        t[right] ^= 1
-        del t[q]
-        steps.append((1, q + 1))
-        p = 0 if right == 0 else max(p - 1, 0)
-    return steps, tuple(t)
+        left = j + 1 if j + 1 < m else 0
+        a, b = r[left], r[j - 1]
+        ones += 1 - 2 * (a + b)
+        r[left], r[j - 1] = 1 - a, 1 - b
+        del r[j]
+        steps.append((1, m - j))
+        m -= 1
+        if j == 0 or p == m:
+            p = m - 1
+    return steps, tuple(reversed(r))
 
 
 def _glue(base_len: int, steps) -> tuple[list[int], list[tuple[int, int]]]:
@@ -229,16 +243,24 @@ def _glue(base_len: int, steps) -> tuple[list[int], list[tuple[int, int]]]:
     Each step inserts k fresh ids at 1-based ``pos`` in 1..m+1, gluing a
     (k+2)-gon onto the edge between the old cyclic neighbours at 0-based
     pos - 2 and pos - 1.  Returns the final order and that edge per step.
+
+    The list ``r`` holds the order reversed, so 0-based position i is
+    ``r[m - 1 - i]`` and the fresh ids go in at ``m + 1 - pos``, in
+    descending order.
     """
-    order = list(range(base_len))
+    r = list(range(base_len - 1, -1, -1))
     edges = []
+    m = base_len
     for k, pos in steps:
-        m = len(order)
         if not 1 <= pos <= m + 1:
             raise SurgeryError(f"insertion position {pos} out of range 1..{m + 1}")
-        edges.append((order[pos - 2], order[(pos - 1) % m]))
-        order[pos - 1 : pos - 1] = range(m, m + k)
-    return order, edges
+        at = m + 1 - pos
+        edges.append((r[at if at < m else 0], r[at - 1]))
+        for v in range(m, m + k):
+            r.insert(at, v)
+        m += k
+    r.reverse()
+    return r, edges
 
 
 def _replay(base: Mod2Seq, steps: list[tuple[int, int]]) -> Mod2Seq:
@@ -322,7 +344,9 @@ def reduce_to_base(seq) -> ReduceResult:
     steps, rest = _reduce(as_mod2_seq(seq), keep_odd=False)
     if rest not in _BASES:
         return ReduceResult(False, None, rest)
-    trace = SurgeryTrace(rest, tuple(SurgeryStep(_STEP_KINDS[k - 1], i) for k, i in steps))
+    # pivots sit near the start, so few steps are distinct: build each once
+    made = {(k, i): SurgeryStep(_STEP_KINDS[k - 1], i) for k, i in set(steps)}
+    trace = SurgeryTrace(rest, tuple(map(made.__getitem__, steps)))
     return ReduceResult(True, trace, rest)
 
 

@@ -2,10 +2,11 @@
 
 import json
 import random
+import sys
 
 import pytest
 
-from quiddity import Dissection, in_principal_congruence, m_product
+from quiddity import Dissection, format_seq, in_principal_congruence, m_product
 from quiddity import enumeration
 from quiddity.cli import main
 
@@ -403,3 +404,35 @@ def test_quiddity_command_rejects_a_json_array(tmp_path, capsys):
     assert run(capsys, "quiddity", str(path), "--cc") == (
         2, "", "quiddity: dissection JSON must be an object\n"
     )
+
+
+def test_check_pm_prints_a_long_product_in_full(tmp_path, capsys):
+    # the product's entries have more digits than CPython's default
+    # int-to-str limit (4300 since 3.11); the verdict is Other, so exit 1
+    rng = random.Random(20_000)
+    seq = [rng.randint(1, 5) for _ in range(20_000)]
+    path = tmp_path / "word.txt"
+    path.write_text(format_seq(seq) + "\n", encoding="utf-8")
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    limit = get_limit() if get_limit else None
+
+    code, text, err = run(capsys, "check", f"@{path}", "--pm")
+    assert (code, err) == (1, "")
+    code, out, err = run(capsys, "check", f"@{path}", "--pm", "--json")
+    assert (code, err) == (1, "")
+    # the CLI restores the limit it lifted
+    assert (get_limit() if get_limit else None) == limit
+
+    m = m_product(seq)
+    if get_limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert len(str(abs(m.a))) > 4300
+        assert text == f"M({format_seq(seq)}) = {m}\nOther\n"
+        data = json.loads(out)
+    finally:
+        if get_limit:
+            sys.set_int_max_str_digits(limit)
+    assert data["verdict"] == "Other"
+    assert data["sequence"] == seq
+    assert data["matrix"] == [[m.a, m.b], [m.c, m.d]]

@@ -79,6 +79,23 @@ def test_beta_default_split():
     assert beta((3, 1), 1) == (3, 1, 1, 1, 1)
 
 
+@pytest.mark.parametrize("split", [(2.9, 2.9), (2.0, 2), (2, "2"), ("2", "2"), (None, 3)])
+def test_beta_split_parts_must_be_integers(split):
+    with pytest.raises(TypeError):
+        beta((3,), 1, split=split)
+
+
+@pytest.mark.parametrize("split", [(2, 1, 1), (4,), (), (1, 1, 1, 1)])
+def test_beta_split_has_exactly_two_parts(split):
+    with pytest.raises(InvalidSplit, match="exactly two parts"):
+        beta((3,), 1, split=split)
+
+
+def test_beta_split_may_be_any_iterable_of_two_ints():
+    assert beta((3,), 1, split=[1, 3]) == (1, 1, 1, 3)
+    assert beta((3,), 1, split=iter((2, 2))) == (2, 1, 1, 2)
+
+
 def test_beta_negates_product():
     rng = random.Random(22)
     for _ in range(500):

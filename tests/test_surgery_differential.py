@@ -2,7 +2,9 @@
 frozen reference implementations in ``seed_surgery``."""
 
 import itertools
+import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -150,3 +152,56 @@ def test_realizes_a_large_solution(realize, cells_ok):
     assert d.n == len(seq)
     assert cells_ok(d.classify())
     assert d.quiddity_mod2() == seq
+
+
+def _random_word(rng, n, density, solution):
+    """A 0/1 word of length n with about ``density`` ones and the given verdict."""
+    while True:
+        seq = tuple(int(rng.random() < density) for _ in range(n))
+        if is_gamma2_solution(seq) == solution:
+            return seq
+
+
+def _seed_realized(fn, seq):
+    """The seed's realization as (n, diagonals), or the exception's type name and message.
+
+    The seed checks every intermediate polygon pair by pair, O(d^2) per glue,
+    which is out of reach at these lengths; here it only records the final
+    polygon, which is then checked once by the constructor.
+    """
+    try:
+        d = fn(seq)
+    except (SurgeryError, DissectionError) as exc:
+        return type(exc).__name__, str(exc)
+    d = Dissection(d.n, d.diagonals)
+    return d.n, d.diagonals
+
+
+def test_tail_end_surgery_matches_reference_on_long_words(monkeypatch):
+    monkeypatch.setattr(seed, "_checked", lambda n, diagonals: SimpleNamespace(n=n, diagonals=diagonals))
+    rng = random.Random(31)
+    words = [_random_word(rng, n, density, True) for n, density in (
+        (500, 0.5), (700, 0.2), (900, 0.8), (1200, 0.5), (1500, 0.05), (3000, 0.5),
+    )]
+    words += [_random_word(rng, rng.randint(500, 3000), density, False) for density in (0.5, 0.1, 0.9)]
+    # all zeros, and a lone 1 at the end, whose removal wraps round
+    words += [(0,) * 1000, (0,) * 1001, (0,) * 999 + (1,), (0,) * 1000 + (1,), (0,) * 998 + (1, 1, 1)]
+    bases, errors = set(), set()
+    for seq in words:
+        result = reduce_to_base(seq)
+        got = json.dumps(trace_to_json_dict(result.trace)) if result.is_solution else None
+        want = seed.trace_json(seq)
+        assert got == (json.dumps(want) if want else None), len(seq)
+        if result.is_solution:
+            assert replay_trace(result.trace) == seq
+            bases.add(result.remainder)
+        for new, old in (
+            (realize_dissection, seed.realize_dissection),
+            (realize_triangulation, seed.realize_triangulation),
+        ):
+            outcome = _outcome(new, seq)
+            assert outcome == _seed_realized(old, seq), (new.__name__, len(seq))
+            if isinstance(outcome[0], str):
+                errors.add(outcome[0])
+    assert bases == {(0, 0), (1, 1, 1)}
+    assert errors == {"NotASolution", "AllEven"}
