@@ -12,8 +12,10 @@ Quiddities read the dissection back off as a sequence: ``quiddity_cc``
 counts the cells meeting each vertex (one more than the number of
 diagonals there), ``quiddity_mod2`` the parity of the number of triangle
 cells meeting each vertex; the enumeration walk keeps the latter as cells close.
-The count of ``_count_states`` sorts the dissections of a kind by the mod-2
-product of their parity quiddity without listing them.
+One count engine, ``_Counts``, sorts the dissections of a kind into
+classes without listing them, by dynamic programming over the root cell of
+each segment: over F2 by the mod-2 product of their parity quiddity, and
+over Z by the exact product and the entry sum of their cc quiddity.
 """
 
 import json
@@ -22,7 +24,7 @@ import operator
 from bisect import bisect_left, bisect_right
 from typing import Callable, Iterator, NamedTuple
 
-from .algebra import _MOD2_STEPS, _MOD2_WORDS, IntSeq, Mod2Seq
+from .algebra import _MOD2_STEPS, _MOD2_WORDS, IntSeq, Mod2Seq, _mul
 
 __all__ = [
     "DEFAULT_POLYGON_CAP",
@@ -400,60 +402,156 @@ def _walk(n: int, kind: str, cap: int) -> Iterator[tuple[list, Callable[[], Mod2
     return rec(1, 3, 1)
 
 
-def _count_states(n: int, kind: str, cap: int) -> list[tuple[Mod2Seq, int]]:
-    """Count the dissections of the n-gon of ``kind`` by the class of their parity quiddity.
+class _Algebra:
+    """What the count engine of ``_Counts`` needs to know of the quiddity it counts by.
 
-    Checks the arguments as ``_walk`` does.  Returns sorted ``(word, count)``
-    pairs: ``count`` dissections have a parity quiddity q with the mod-2
-    product of ``word``, which is E(q_1) * g * E(q_n) for the product g of
-    q_2 .. q_{n-1}.
+    A cell adds ``triangle`` (a triangle) or ``polygon`` (a larger cell) at
+    each of its corners, and ``add`` combines what cells add at a vertex.
+    The interior products of segments are elements with ``unit``:
+    ``step(g, c)`` is g * E(c) and ``mul(g, h)`` is g * h.  ``key(a, g,
+    b)`` names the class of the n-gon's product E(a) * g * E(b).
+    """
+
+    # a plain class: a NamedTuple costs about 0.15 ms at import
+    __slots__ = ("triangle", "polygon", "add", "unit", "step", "mul", "key")
+
+    def __init__(self, triangle: int, polygon: int, add, unit, step, mul, key):
+        self.triangle, self.polygon, self.add, self.unit = triangle, polygon, add, unit
+        self.step, self.mul, self.key = step, mul, key
+
+
+def _mod2_times(g: int, word: tuple) -> int:
+    for e in word:
+        g = _MOD2_STEPS[g][e]
+    return g
+
+
+_MOD2_MUL = [[_mod2_times(g, word) for word in _MOD2_WORDS] for g in range(6)]  # [g][h] = g * h
+
+# Triangle parities, and SL(2, F2) as the six states of _MOD2_STEPS.  A class
+# is the word (a, w, b) for the word w of g in _MOD2_WORDS: its mod-2 product
+# is the n-gon's.
+_OVER_F2 = _Algebra(
+    1, 0, operator.xor, 0,
+    lambda g, c: _MOD2_STEPS[g][c],
+    lambda g, h: _MOD2_MUL[g][h],
+    lambda a, g, b: (a, *_MOD2_WORDS[g], b),
+)
+
+
+# Over Z an element is (product, sum): the interior product, an int 4-tuple
+# of SL(2, Z), and the sum of the interior entries.  A class is the n-gon's
+# product M(q) with the sum of q.
+def _step_z(g: tuple, c: int) -> tuple:
+    return _mul(g[0], (c, -1, 1, 0)), g[1] + c
+
+
+def _mul_z(g: tuple, h: tuple) -> tuple:
+    return _mul(g[0], h[0]), g[1] + h[1]
+
+
+_UNIT_Z = ((1, 0, 0, 1), 0)
+_OVER_Z = _Algebra(
+    1, 1, operator.add, _UNIT_Z, _step_z, _mul_z,
+    lambda a, g, b: _step_z(_mul_z(_step_z(_UNIT_Z, a), g), b),
+)
+
+
+class _Counts:
+    """The count's table of segment states by length, for one kind over one algebra.
 
     A segment i..j closed by the chord (i, j), or by the side (1, n), has
-    the state (a, b, g): the triangle parities its cells add at i and at j,
-    and the mod-2 product g of its interior entries, one of the six states
-    of ``_MOD2_STEPS``.  A segment of length 1 is a side, (0, 0, Id).  A
-    longer one is a root cell, whose corners i = u_0 < ... < u_t = j split
-    it into t shorter segments (Flajolet-Sedgewick's decomposition of
-    polygon dissections by root cell).  Joining them left to right puts
-    E(b_k + a_{k+1}) between the products of neighbours, plus 1 at every
-    corner of a triangle.  Segments depend only on their length, so one
-    table by length, up to n - 1, gives the n-gon.
+    the state (a, b, g): what its cells add at i and at j, and the product
+    g of its interior entries, which no cell outside it touches.  A segment
+    of length 1 is a side, (0, 0, unit).  A longer one is a root cell,
+    whose corners i = u_0 < ... < u_t = j split it into t shorter segments
+    (Flajolet-Sedgewick's decomposition of polygon dissections by root
+    cell).  Joining them left to right puts E(b_k + a_{k+1} + w) between
+    the products of neighbours, w being what the cell adds at a corner, and
+    closing the cell adds w at i and at j.  Segments depend only on their
+    length, so one table by length, up to n - 1, serves every polygon up to
+    the n-gon, whose segment 1..n has the entries a and b at its ends.  The
+    table grows by length on demand, so a sweep over n builds it once.
     """
-    n, allowed = _cell_sizes(n, kind, cap)
 
-    def times(g: int, word: tuple) -> int:
-        for e in word:
-            g = _MOD2_STEPS[g][e]
-        return g
+    def __init__(self, kind: str, algebra: _Algebra, n: int):
+        self.n, self._allowed = _cell_sizes(n, kind, n)
+        self._algebra = algebra
+        self._segments = {}  # by length
+        self._starts = {}  # by length, then by the state's a: [(b, g, count)]
+        self._add_segments({(0, 0, algebra.unit): 1})
+        # runs[t][length]: t segments side by side under a cell of 4 or more
+        # corners, for t up to the largest such cell's ``most`` segments
+        self._runs = {1: self._segments}
+        largest = max(self._allowed)
+        self._most = largest - 1 if largest > 3 else 1
 
-    mul = [[times(g, word) for word in _MOD2_WORDS] for g in range(6)]  # mul[g][h] = g * h
+    def _add_segments(self, states: dict) -> None:
+        length = len(self._segments) + 1
+        self._segments[length] = states
+        self._starts[length] = starts = {}
+        for (a, b, g), m in states.items():
+            starts.setdefault(a, []).append((b, g, m))
 
-    def join(left: dict, right: dict, tau: int, out: dict) -> None:
-        # each run of ``left`` followed by each segment of ``right``
+    def _join(self, left: dict, x: int, w: int, out: dict) -> None:
+        """Add each run of ``left`` followed by each segment of length x to ``out``."""
+        add, step, mul = self._algebra.add, self._algebra.step, self._algebra.mul
+        starts = self._starts[x].items()
         for (a0, b, g), m in left.items():
-            for (a, b2, h), k in right.items():
-                key = a0, b2, mul[_MOD2_STEPS[g][b ^ a ^ tau]][h]
-                out[key] = out.get(key, 0) + m * k
+            bw = add(b, w)
+            for a, segments in starts:
+                gc = step(g, add(bw, a))
+                for b2, h, k in segments:
+                    key = a0, b2, mul(gc, h)
+                    out[key] = out.get(key, 0) + m * k
 
-    segments = {1: {(0, 0, 0): 1}}  # by length
-    # runs[t][length]: t segments side by side under a cell of 4 or more
-    # corners, for t up to the largest such cell's ``most`` segments
-    runs = {1: segments}
-    most = max(allowed) - 1 if max(allowed) > 3 else 1
-    for length in range(2, n):
+    def _close(self, run: dict, w: int, out: dict) -> None:
+        add = self._algebra.add
+        for (a, b, g), m in run.items():
+            key = add(a, w), add(b, w), g
+            out[key] = out.get(key, 0) + m
+
+    def _grow(self) -> None:
+        length = len(self._segments) + 1
+        triangle, polygon = self._algebra.triangle, self._algebra.polygon
         closed = {}
-        for t in range(2, min(most, length) + 1):
-            runs.setdefault(t, {})[length] = run = {}
+        for t in range(2, min(self._most, length) + 1):
+            self._runs.setdefault(t, {})[length] = run = {}
             for x in range(1, length - t + 2):
-                join(runs[t - 1][length - x], segments[x], 0, run)
-            if t > 2 and t + 1 in allowed:  # triangles close below
-                for key, m in run.items():
-                    closed[key] = closed.get(key, 0) + m
-        triangles = {}  # every kind allows them
-        for x in range(1, length):
-            join(segments[length - x], segments[x], 1, triangles)
-        for (a, b, g), m in triangles.items():
-            key = a ^ 1, b ^ 1, g
-            closed[key] = closed.get(key, 0) + m
-        segments[length] = closed
-    return sorted(((a, *_MOD2_WORDS[g], b), m) for (a, b, g), m in segments[n - 1].items())
+                self._join(self._runs[t - 1][length - x], x, polygon, run)
+            if t > 2 and t + 1 in self._allowed:  # triangles close below
+                self._close(run, polygon, closed)
+        if triangle == polygon and self._most > 1:
+            triangles = self._runs[2][length]
+        else:
+            triangles = {}
+            for x in range(1, length):
+                self._join(self._segments[length - x], x, triangle, triangles)
+        self._close(triangles, triangle, closed)  # every kind allows them
+        self._add_segments(closed)
+
+    def classes(self, n: int) -> list:
+        """Sorted ``(key, count)`` pairs: ``count`` dissections of the n-gon are in the class ``key``."""
+        if not 3 <= n <= self.n:
+            raise ValueError(f"the table counts polygons of 3..{self.n} vertices, not {n}")
+        while len(self._segments) < n - 1:
+            self._grow()
+        out = {}
+        for (a, b, g), m in self._segments[n - 1].items():
+            key = self._algebra.key(a, g, b)
+            out[key] = out.get(key, 0) + m
+        return sorted(out.items())
+
+
+def _count_states(n: int, kind: str, cap: int, counts: _Counts | None = None) -> list:
+    """Count the dissections of the n-gon of ``kind`` by class; see ``_Counts``.
+
+    Checks the arguments as ``_walk`` does.  Without ``counts`` the classes
+    are those of a fresh table over F2: sorted ``(word, count)`` pairs, where
+    ``count`` dissections have a parity quiddity q with the mod-2 product
+    of ``word``, which is E(q_1) * g * E(q_n) for the product g of q_2 ..
+    q_{n-1}.  A sweep passes its own table of ``kind``, over F2 or over Z,
+    and reads and grows it.
+    """
+    n, _ = _cell_sizes(n, kind, cap)
+    return (counts or _Counts(kind, _OVER_F2, n)).classes(n)

@@ -12,10 +12,14 @@ matched against inverse suffix products, and the matches are sorted.
 ``theorem_sweep`` cross-checks the combinatorial characterizations at desk
 scale (dissections -> quiddities -> membership, and solutions ->
 realization -> round trip); dissection sweeps build a ``Dissection`` only
-for a counterexample, and none is expected.  thm1i does not list the
-{3,4} dissections: it counts them over the 24 states of ``_count_states``
-and decides each of the few classes, walking the dissections only to name
-the counterexamples of a failing class.
+for a counterexample, and none is expected.  The forward sweeps do not
+list the dissections: ``_count_states`` counts them by class over one
+table per sweep, over F2 for thm1i ({3,4} dissections by the mod-2 product
+of their parity quiddity) and over Z for thm2 and thm3 (triangulations and
+3d dissections by the product and sum of their cc quiddity).  Each of the
+few classes is decided once; the dissections are walked only to name the
+counterexamples of a failing class, and for the quiddity set that the
+converse of thm2 and thm3 compares against.
 """
 
 import operator
@@ -24,6 +28,7 @@ from itertools import product
 
 from .algebra import (
     IntSeq,
+    Mat2,
     MatClass,
     Mod2Seq,
     _MOD2_STEPS,
@@ -37,6 +42,9 @@ from .algebra import (
 from .dissections import (
     DEFAULT_POLYGON_CAP,
     Dissection,
+    _OVER_F2,
+    _OVER_Z,
+    _Counts,
     _cc_quiddity,
     _check_cap,
     _count_states,
@@ -63,6 +71,9 @@ DEFAULT_MOD2_CAP = 20
 DEFAULT_INT_CAP = 8
 
 SWEEP_NAMES = ("thm1i", "thm1ii", "thm2", "thm3", "remark")
+
+# the kind each forward sweep counts, and the algebra it counts over
+_COUNTED = {"thm1i": ("34", _OVER_F2), "thm2": ("triangulation", _OVER_Z), "thm3": ("3d", _OVER_Z)}
 
 # default top n of the thm2/thm3 integer-search converse
 _CONVERSE_HI = 7
@@ -222,6 +233,13 @@ def _check_sweep(
     return start
 
 
+def _mismatch(n: int, failing: int, named: int) -> list[str]:
+    """The counterexample of a count whose failing dissections the walk does not all name."""
+    if failing and named != failing:
+        return [f"n={n}: {failing} dissections counted as failing, {named} found"]
+    return []
+
+
 def theorem_sweep(
     which: str,
     n_lo: int = 3,
@@ -247,14 +265,18 @@ def theorem_sweep(
     remark  every solution with an odd entry is realized by a triangulation
             with the exact quiddity.
 
-    thm1i counts the dissections by the class of their parity quiddity,
-    E(q_1) * (product of q_2 .. q_{n-1}) * E(q_n) in SL(2, F2), and decides
-    each class with ``is_gamma2_solution``; ``checked`` is the count.  Only
-    when a class fails does it walk the dissections, to name each failing
-    one in stream order, and a count the walk does not match is itself a
-    counterexample.  thm2 and thm3 read degrees off the dissection walk.
-    ``converse_hi`` gates the integer search of thm2 and thm3 (entries up to
-    n - 2, about (n-2)^(n/2) products), so above it only the forward
+    thm1i, thm2 and thm3 count the dissections by class, on one table
+    grown with n, and decide each class once; ``checked`` is the count.
+    thm1i's class is the product of the parity quiddity in SL(2, F2),
+    decided with ``is_gamma2_solution``; that of thm2 and thm3 is the
+    product of the cc quiddity in SL(2, Z) with its entry sum, decided
+    with ``classify_pm_identity``.  Only when a class fails is a sweep's
+    kind walked, to name each failing dissection (thm1i, thm2) or quiddity
+    (thm3) in stream or sorted order, and a count the walk does not match
+    is itself a counterexample.  For n <= ``converse_hi`` thm2 and thm3
+    walk anyway, to collect the quiddities their converse compares with
+    the integer search (entries up to n - 2, about (n-2)^(n/2) products),
+    and check each walked quiddity as it comes; above it only the forward
     direction is checked and no n is vacuous.  Bounds and caps are read
     with ``operator.index``; a range holding no n >= 3 raises ``ValueError``,
     and one reaching past a cap raises ``CapExceeded`` before any work.
@@ -270,22 +292,24 @@ def theorem_sweep(
     )
     checked = 0
     bad: list[str] = []
+    if which in _COUNTED:
+        kind, algebra = _COUNTED[which]
+        counts = _Counts(kind, algebra, n_hi)
 
     for n in range(start, n_hi + 1):
-        if which == "thm1i":
-            classes = _count_states(n, "34", polygon_cap)
+        if which in _COUNTED:
+            classes = _count_states(n, kind, polygon_cap, counts)
             checked += sum(count for _, count in classes)
+        if which == "thm1i":
             failing = sum(count for word, count in classes if not is_gamma2_solution(word))
             if failing:
                 named = []
-                for chosen, parities in _walk(n, "34", polygon_cap):
+                for chosen, parities in _walk(n, kind, polygon_cap):
                     q = parities()
                     if not is_gamma2_solution(q):
                         d = Dissection(n, tuple(chosen), check=False)
                         named.append(f"n={n}: quiddity {format_seq(q)} of {d!r} is not a solution")
-                bad += named
-                if len(named) != failing:
-                    bad.append(f"n={n}: {failing} dissections counted as failing, {len(named)} found")
+                bad += named + _mismatch(n, failing, len(named))
         elif which == "thm1ii":
             for s in solutions_gamma2(n, cap=mod2_cap):
                 checked += 1
@@ -293,15 +317,24 @@ def theorem_sweep(
                 if not d.classify().is_34 or d.quiddity_mod2() != s:
                     bad.append(f"n={n}: realization of {format_seq(s)} gave {d!r}")
         elif which == "thm2":
+            failing = sum(
+                count for (m, total), count in classes
+                if classify_pm_identity(Mat2(*m)) is not MatClass.MINUS_ID or total != 3 * n - 6
+            )
             tri_quiddities = set()
-            for chosen, _ in _walk(n, "triangulation", polygon_cap):
-                checked += 1
-                q = _cc_quiddity(n, chosen)
-                tri_quiddities.add(q)
-                if classify_pm_identity(m_product(q)) is not MatClass.MINUS_ID:
-                    bad.append(f"n={n}: triangulation quiddity {format_seq(q)} is not -Id")
-                if sum(q) != 3 * n - 6:
-                    bad.append(f"n={n}: triangulation quiddity {format_seq(q)} sums to {sum(q)}")
+            if failing or n <= converse_hi:
+                named = 0
+                for chosen, _ in _walk(n, kind, polygon_cap):
+                    q = _cc_quiddity(n, chosen)
+                    tri_quiddities.add(q)
+                    lines = []
+                    if classify_pm_identity(m_product(q)) is not MatClass.MINUS_ID:
+                        lines.append(f"n={n}: triangulation quiddity {format_seq(q)} is not -Id")
+                    if sum(q) != 3 * n - 6:
+                        lines.append(f"n={n}: triangulation quiddity {format_seq(q)} sums to {sum(q)}")
+                    named += bool(lines)
+                    bad += lines
+                bad += _mismatch(n, failing, named)
             if n <= converse_hi:
                 for s, sign in solutions_pm_identity(n, cap=int_cap):
                     checked += 1
@@ -311,19 +344,26 @@ def theorem_sweep(
                             f"is not a triangulation quiddity"
                         )
         elif which == "thm3":
-            quiddities = set()
-            for chosen, _ in _walk(n, "3d", polygon_cap):
-                checked += 1
-                quiddities.add(_cc_quiddity(n, chosen))
-            for q in sorted(quiddities):
-                if classify_pm_identity(m_product(q)) is MatClass.OTHER:
-                    bad.append(f"n={n}: quiddity {format_seq(q)} is not a +/-Id solution")
+            failing = sum(
+                count for (m, _), count in classes if classify_pm_identity(Mat2(*m)) is MatClass.OTHER
+            )
+            quiddities = {}  # each with its number of dissections
+            if failing or n <= converse_hi:
+                for chosen, _ in _walk(n, kind, polygon_cap):
+                    q = _cc_quiddity(n, chosen)
+                    quiddities[q] = quiddities.get(q, 0) + 1
+                named = 0
+                for q in sorted(quiddities):
+                    if classify_pm_identity(m_product(q)) is MatClass.OTHER:
+                        bad.append(f"n={n}: quiddity {format_seq(q)} is not a +/-Id solution")
+                        named += quiddities[q]
+                bad += _mismatch(n, failing, named)
             # cc entries are at most n - 2, the search's entry cap, so the
-            # forward loop has checked quiddities - solutions already
+            # forward check has covered quiddities - solutions already
             if n <= converse_hi:
                 solutions = {s for s, _ in solutions_pm_identity(n, cap=int_cap)}
                 checked += len(solutions)
-                for s in sorted(solutions - quiddities):
+                for s in sorted(solutions - quiddities.keys()):
                     bad.append(f"n={n}: solution {format_seq(s)} is not a 3d quiddity")
         elif which == "remark":
             for s in solutions_gamma2(n, cap=mod2_cap):

@@ -45,6 +45,7 @@ from .algebra import (
     as_int_seq,
     as_mod2_seq,
     format_seq,
+    is_gamma2_solution,
     parse_mod2_seq,
 )
 from .dissections import Dissection
@@ -400,19 +401,27 @@ def trace_from_json_dict(data: dict) -> SurgeryTrace:
 
 
 def _realize(seq, triangulate: bool) -> Dissection:
-    """Reduce ``seq``, then glue one cell per step, last step first, onto the base."""
+    """Reduce ``seq`` once, then glue one cell per step, last step first, onto the base.
+
+    A triangulation reduces with ``keep_odd``, so ``is_gamma2_solution``
+    decides first; only a non-solution runs the smallest-1 reduction, whose
+    remainder ``NotASolution`` names.
+    """
     s = as_mod2_seq(seq)
     if len(s) < 3:
         raise TooShort(f"need length >= 3 to realize a polygon, got {len(s)}")
-    steps, base = _reduce(s, keep_odd=False)
-    if base not in _BASES:
-        raise NotASolution(base)
     if triangulate:
+        if not is_gamma2_solution(s):
+            raise NotASolution(_reduce(s, keep_odd=False)[1])
         if 1 not in s:
             raise AllEven(f"{format_seq(s)} has no odd entry; no triangulation exists")
         steps, base = _reduce(s, keep_odd=True)
         if base != (1, 1, 1):
             raise SurgeryError(f"descent ended at {format_seq(base)} instead of 1,1,1")
+    else:
+        steps, base = _reduce(s, keep_odd=False)
+        if base not in _BASES:
+            raise NotASolution(base)
     # base (0, 0): the last reduction step removed the final 0,0 pair of an
     # all-zero quadruple, so its replay is the quadrilateral itself
     n0, steps = (3, steps) if base == (1, 1, 1) else (4, steps[:-1])

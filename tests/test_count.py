@@ -1,0 +1,120 @@
+"""The count engine of ``_Counts`` against the walk and against closed forms.
+
+One table per kind and algebra serves every n up to its top, as in a sweep.
+Over Z a class is the n-gon's product M(q) of the cc quiddity q with the
+sum of q; over F2 it is the word of the mod-2 product of the parity
+quiddity.  Both must reproduce the walk's histogram exactly, and the totals
+must equal counts that do not come from the root-cell decomposition.
+"""
+
+from math import comb
+
+import pytest
+
+from quiddity import enumerate_dissections, jacobsthal_count
+from quiddity.algebra import _MOD2_STEPS, _MOD2_WORDS, _fold
+from quiddity.dissections import _CELL_RULES, _OVER_F2, _OVER_Z, _Counts, _cc_quiddity, _walk
+
+KINDS = ("all", "triangulation", "34", "3d")
+
+
+def _mod2_word(q):
+    state = 0
+    for e in q[1:-1]:
+        state = _MOD2_STEPS[state][e]
+    return (q[0], *_MOD2_WORDS[state], q[-1])
+
+
+def _histograms(n, kind):
+    """The walk's classes over Z and over F2, each a sorted (key, count) list."""
+    over_z, over_f2 = {}, {}
+    for chosen, parities in _walk(n, kind, n):
+        q = _cc_quiddity(n, chosen)
+        key = _fold(q), sum(q)
+        over_z[key] = over_z.get(key, 0) + 1
+        word = _mod2_word(parities())
+        over_f2[word] = over_f2.get(word, 0) + 1
+    return sorted(over_z.items()), sorted(over_f2.items())
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_count_classes_over_z_and_f2_are_the_walk_histograms(kind):
+    over_z, over_f2 = _Counts(kind, _OVER_Z, 11), _Counts(kind, _OVER_F2, 11)
+    for n in range(3, 12):
+        assert (over_z.classes(n), over_f2.classes(n)) == _histograms(n, kind), n
+
+
+def test_count_table_counts_only_the_polygons_it_was_made_for():
+    counts = _Counts("3d", _OVER_Z, 6)
+    for n in (2, 7):
+        with pytest.raises(ValueError, match="3..6 vertices"):
+            counts.classes(n)
+
+
+def _catalan(m):
+    return comb(2 * m, m) // (m + 1)
+
+
+def _schroeder(n):
+    # Kirkman-Cayley: the n-gon has comb(n-3, k) comb(n+k-1, k) / (k+1)
+    # dissections with k diagonals
+    return sum(comb(n - 3, k) * comb(n + k - 1, k) // (k + 1) for k in range(n - 2))
+
+
+def _lagrange(n, rule):
+    """Dissections of the n-gon whose cell sizes pass ``rule``, by Lagrange inversion.
+
+    A segment of L sides has the generating function F = x * phi(F), with
+    phi(u) = 1 / (1 - sum of u^(s - 2) over the allowed sizes s), so the
+    n-gon, a segment of L = n - 1 sides, has [u^(L-1)] phi(u)^L / L.
+    """
+    length = n - 1
+    phi = [1] + [0] * (length - 1)
+    for d in range(1, length):
+        phi[d] = sum(phi[d - j] for j in range(1, d + 1) if rule(j + 2))
+    power = [1] + [0] * (length - 1)
+    for _ in range(length):
+        power = [sum(power[i] * phi[d - i] for i in range(d + 1)) for d in range(length)]
+    total, rest = divmod(power[length - 1], length)
+    assert rest == 0
+    return total
+
+
+def _totals(kind, algebra, top):
+    counts = _Counts(kind, algebra, top)
+    return [sum(count for _, count in counts.classes(n)) for n in range(3, top + 1)]
+
+
+def test_count_totals_match_closed_forms():
+    ns = range(3, 31)
+    totals = {kind: _totals(kind, _OVER_F2, 30) for kind in KINDS}
+    for kind in KINDS:
+        assert totals[kind] == [_lagrange(n, _CELL_RULES.get(kind, lambda s: True)) for n in ns], kind
+    assert totals["triangulation"] == [_catalan(n - 2) for n in ns]
+    assert totals["all"] == [_schroeder(n) for n in ns]
+    assert totals["3d"][:10] == [1, 2, 5, 15, 49, 168, 595, 2160, 7997, 30083]
+    # the tables of thm2 and thm3, as far as the README runs those sweeps
+    assert _totals("triangulation", _OVER_Z, 30) == totals["triangulation"]
+    assert _totals("3d", _OVER_Z, 20) == totals["3d"][:18]
+
+
+@pytest.mark.parametrize("kind, count", [
+    ("triangulation", lambda n: _catalan(n - 2)),
+    ("all", _schroeder),
+    ("3d", lambda n: _lagrange(n, _CELL_RULES["3d"])),
+])
+def test_enumeration_lengths_match_closed_forms(kind, count):
+    for n in range(3, 11):
+        assert len(list(enumerate_dissections(n, kind))) == count(n), n
+
+
+def test_six_state_transfer_count_is_jacobsthal():
+    # ways[s]: the 0/1 words so far whose mod-2 product is state s
+    ways = [1, 0, 0, 0, 0, 0]
+    for n in range(1, 1001):
+        step = [0] * 6
+        for s, w in enumerate(ways):
+            for e in (0, 1):
+                step[_MOD2_STEPS[s][e]] += w
+        ways = step
+        assert ways[0] == jacobsthal_count(n), n

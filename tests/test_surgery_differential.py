@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 import quiddity.dissections as dissections
+import quiddity.surgery as surgery
 import seed_surgery as seed
 from quiddity import (
     Dissection,
@@ -205,3 +206,36 @@ def test_tail_end_surgery_matches_reference_on_long_words(monkeypatch):
                 errors.add(outcome[0])
     assert bases == {(0, 0), (1, 1, 1)}
     assert errors == {"NotASolution", "AllEven"}
+
+
+def test_realize_triangulation_rejects_as_the_reference_and_reduces_once(monkeypatch):
+    # a solution is decided without a reduction and reduced once, keeping an
+    # odd entry; only a non-solution runs the smallest-1 pass, to name its
+    # remainder.  The errors match the reference past the exhaustive n <= 12.
+    monkeypatch.setattr(seed, "_checked", lambda n, diagonals: SimpleNamespace(n=n, diagonals=diagonals))
+    passes = []
+    reduce = surgery._reduce
+
+    def recorded(bits, keep_odd):
+        passes.append(keep_odd)
+        return reduce(bits, keep_odd)
+
+    monkeypatch.setattr(surgery, "_reduce", recorded)
+    rng = random.Random(41)
+    words = [
+        _random_word(rng, n, density, False) for n in (13, 14, 57, 200, 999) for density in (0.05, 0.5, 0.95)
+    ]
+    words += [(0,) * n for n in (13, 14, 15, 16, 200, 201)]  # all even; a solution at even n
+    words += [(0,) * (n - 1) + (1,) for n in (13, 14, 15, 100)]
+    errors = set()
+    for seq in words:
+        passes.clear()
+        outcome = _outcome(realize_triangulation, seq)
+        assert outcome == _outcome(seed.realize_triangulation, seq), len(seq)
+        errors.add(outcome[0])
+        assert passes == ([] if is_gamma2_solution(seq) else [False]), len(seq)
+    assert errors == {"NotASolution", "AllEven"}
+    seq = _random_word(rng, 300, 0.5, True)
+    passes.clear()
+    assert _outcome(realize_triangulation, seq) == _seed_realized(seed.realize_triangulation, seq)
+    assert passes == [True]

@@ -3,9 +3,10 @@
 ``theorem_sweep`` reads the walk behind ``enumerate_dissections`` directly:
 its diagonal list, the cc quiddity as 1 + the diagonal degrees, and the
 triangle parities it keeps as cells close.  These tests pin all three, and
-the sweep and CLI outputs built on them.  thm1i decides by the count of
-``_count_states`` and walks only to name counterexamples, so the count is
-pinned to the walk too.
+the sweep and CLI outputs built on them.  thm1i, thm2 and thm3 decide by
+the count of ``_count_states`` and walk only to name counterexamples (and,
+for thm2 and thm3, to collect the quiddities of their converse), so the
+count is pinned to the walk too.
 """
 
 import functools
@@ -201,3 +202,32 @@ def test_thm1i_reports_a_counted_failure_the_walk_cannot_name(monkeypatch):
     assert not report.ok
     assert report.checked == 39
     assert report.counterexamples == ("n=6: 1 dissections counted as failing, 0 found",)
+
+
+@pytest.mark.parametrize("which, kind, extra", [
+    # one extra triangulation multiplying to +Id, one extra 3d dissection to Other
+    ("thm2", "triangulation", ((1, 0, 0, 1), 21)),
+    ("thm3", "3d", ((2, 1, 1, 1), 0)),
+])
+def test_thm2_and_thm3_report_a_counted_failure_the_walk_cannot_name(monkeypatch, which, kind, extra):
+    def counted(*args):
+        return [*_count_states(*args), (extra, 1)]
+
+    monkeypatch.setattr(enumeration, "_count_states", counted)
+    report = theorem_sweep(which, 9, 9)
+    assert report.checked == sum(1 for _ in _walk(9, kind, 9)) + 1
+    assert report.counterexamples == ("n=9: 1 dissections counted as failing, 0 found",)
+
+
+@pytest.mark.parametrize("which", ["thm2", "thm3"])
+def test_thm2_and_thm3_walk_only_for_the_converse_when_every_class_holds(monkeypatch, which):
+    walked = []
+
+    def walk(n, kind, cap):
+        walked.append(n)
+        return _walk(n, kind, cap)
+
+    monkeypatch.setattr(enumeration, "_walk", walk)
+    report = theorem_sweep(which, 3, 10, converse_hi=5)
+    assert report.ok
+    assert walked == [3, 4, 5]
