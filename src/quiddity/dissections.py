@@ -285,9 +285,12 @@ class Dissection:
         return "\n".join(lines) + "\n"
 
 
+# The return annotation is a string: typing caches Iterator[Dissection] with
+# the class as its key, which would keep every earlier import of the package
+# alive after a fresh import.
 def enumerate_dissections(
     n: int, kind: str = "all", cap: int = DEFAULT_POLYGON_CAP
-) -> Iterator[Dissection]:
+) -> "Iterator[Dissection]":
     """Yield every dissection of the labeled n-gon whose cells match ``kind``.
 
     ``kind`` is one of ``"all"``, ``"triangulation"``, ``"34"``, ``"3d"``.
