@@ -220,6 +220,8 @@ def _cmd_quiddity(args) -> int:
 
 
 def _cmd_realize(args) -> int:
+    if args.geometry and not args.dot:
+        raise ValueError("--geometry needs --dot")
     texts = _sequences(args.sequence)
     if args.dot and len(texts) > 1:
         raise ValueError(f"--dot takes one sequence, got {len(texts)} from {args.sequence}")
@@ -249,6 +251,8 @@ def _cmd_frieze(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     if args.sweep:
+        if args.classes or args.tuples or args.verify_jacobsthal:
+            raise ValueError("--sweep cannot be combined with --classes, --tuples or --verify-jacobsthal")
         caps = {"polygon_cap": args.polygon_cap, "mod2_cap": args.mod2_cap, "int_cap": args.int_cap}
         # every chosen sweep's range and caps before the first one runs
         for which in _SWEEPS[args.sweep]:

@@ -11,7 +11,7 @@ over the diagonals, innermost first, with no planar embedding machinery.
 Quiddities read the dissection back off as a sequence: ``quiddity_cc``
 counts the cells meeting each vertex (one more than the number of
 diagonals there), ``quiddity_mod2`` the parity of the number of triangle
-cells meeting each vertex; the enumeration walk keeps the latter as cells close.
+cells meeting each vertex.
 One count engine, ``_Counts``, sorts the dissections of a kind into
 classes without listing them, by dynamic programming over the root cell of
 each segment: over F2 by the mod-2 product of their parity quiddity, and
@@ -22,7 +22,7 @@ import json
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .algebra import _MOD2_STEPS, _MOD2_WORDS, IntSeq, Mod2Seq, _mul
 
@@ -69,6 +69,7 @@ class CapExceeded(ValueError):
 
 
 def _check_cap(n: int, what: str, cap: int) -> None:
+    cap = operator.index(cap)
     if n > cap:
         raise CapExceeded(f"n={n} exceeds the {what} cap {cap}")
 
@@ -86,15 +87,6 @@ _CELL_RULES = {
     "3d": lambda s: s % 3 == 0,
 }
 _KINDS = ("all", *_CELL_RULES)
-
-
-def _cc_quiddity(n: int, diagonals) -> IntSeq:
-    """1 + the number of diagonals at each vertex of the n-gon."""
-    counts = [1] * n
-    for i, j in diagonals:
-        counts[i - 1] += 1
-        counts[j - 1] += 1
-    return tuple(counts)
 
 
 def _crosses(p: tuple[int, int], q: tuple[int, int]) -> bool:
@@ -215,7 +207,11 @@ class Dissection:
 
     def quiddity_cc(self) -> IntSeq:
         """Entry i = number of cells having vertex i as a corner: 1 + its diagonals."""
-        return _cc_quiddity(self._n, self._diagonals)
+        counts = [1] * self._n
+        for i, j in self._diagonals:
+            counts[i - 1] += 1
+            counts[j - 1] += 1
+        return tuple(counts)
 
     def quiddity_mod2(self) -> Mod2Seq:
         """Entry i = parity of the number of triangle cells at vertex i."""
@@ -297,17 +293,65 @@ def enumerate_dissections(
     The stream is the depth-first preorder of the non-crossing diagonal
     sets, each set followed by its extensions with lexicographically larger
     diagonals, so it is deterministic and sorted lexicographically on the
-    (sorted) diagonal sets, starting with the empty set.  The sets come from
-    ``_walk``, and only those of the requested kind are built.
+    (sorted) diagonal sets, starting with the empty set.  The arguments are
+    checked on the first ``next()``.
+
+    Open cells sit on a stack as [right end, vertices so far], the side
+    (1, n) at the bottom.  At vertex v the walk tries (v, j) for ascending j
+    up to the innermost open cell's right end; stepping to u closes the
+    cells ending at u, innermost first, and adds u to the innermost one
+    left.  Subtrees whose cells break the kind's rule are cut off, and a set
+    is built only when its open cells, closed with no more diagonals, keep it.
     """
-    sets = _walk(n, kind, cap)
-    n = operator.index(n)
-    for chosen, _ in sets:
-        yield Dissection(n, tuple(chosen), check=False)
+    n, allowed = _cell_sizes(n, kind, cap)
+    # a cell never loses a vertex, so one past this size is a dead end
+    largest = max(allowed)
+    chosen: list[tuple[int, int]] = []
+    stack = [[n, 2]]
+
+    def rec(v: int, j: int, base: int):
+        # ``chosen`` ends at (v, j - 1); its cells from v sit at stack[base:]
+        # vertices v + 1 .. right - 1 not under an inner cell join each cell
+        inner = v + 1
+        for right, size in reversed(stack):
+            if size + right - inner not in allowed:
+                break
+            inner = right
+        else:
+            yield Dissection(n, tuple(chosen), check=False)
+        passed = []
+        while True:
+            hi = stack[base - 1][0] if v > 1 else n - 1
+            for w in range(j, hi + 1):
+                chosen.append((v, w))
+                stack.insert(base, [w, 2])
+                yield from rec(v, w + 1, base)
+                chosen.pop()
+                del stack[base]
+            v += 1
+            if v > n - 2:
+                break
+            closed = []
+            fits = True
+            while stack[-1][0] == v:
+                cell = stack.pop()
+                if cell[1] not in allowed:
+                    fits = False
+                closed.append(cell)
+            stack[-1][1] += 1
+            passed.append(closed)
+            if not fits or stack[-1][1] > largest:
+                break
+            j, base = v + 2, len(stack)
+        for closed in reversed(passed):
+            stack[-1][1] -= 1
+            stack.extend(reversed(closed))
+
+    yield from rec(1, 3, 1)
 
 
 def _cell_sizes(n: int, kind: str, cap: int) -> tuple[int, set[int]]:
-    """Check the arguments of ``_walk`` or ``_count_states``; return n and the cell sizes of the kind."""
+    """Check the arguments of ``enumerate_dissections`` or ``_count_states``; return n and the cell sizes of the kind."""
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
     n = operator.index(n)
@@ -316,93 +360,6 @@ def _cell_sizes(n: int, kind: str, cap: int) -> tuple[int, set[int]]:
     _check_cap(n, "polygon", cap)
     rule = _CELL_RULES.get(kind, lambda s: True)
     return n, {s for s in range(3, n + 1) if rule(s)}
-
-
-def _walk(n: int, kind: str, cap: int) -> Iterator[tuple[list, Callable[[], Mod2Seq]]]:
-    """Check the arguments, then yield ``(chosen, parities)`` for each set of the kind.
-
-    ``chosen`` is the walk's diagonal list and ``parities()`` the set's
-    ``quiddity_mod2``, both valid until the walk resumes.  Open cells sit on
-    a stack as [left, right, vertices so far], the side (1, n) at the bottom.
-    At vertex v the walk tries (v, j) for ascending j up to the innermost
-    open cell's right end; stepping to u closes the cells ending at u,
-    innermost first, and adds u to the innermost one left.  A closing
-    triangle toggles the parity of its left end, of u, and of the corner
-    before u: the left end of the cell closed just before it at u, else
-    u - 1.  Subtrees whose cells break the kind's rule are cut off; a set is
-    yielded when its open cells, closed with no more diagonals, keep it.
-    """
-    n, allowed = _cell_sizes(n, kind, cap)
-    # a cell never loses a vertex, so one past this size is a dead end
-    largest = max(allowed)
-    chosen: list[tuple[int, int]] = []
-    stack = [[1, n, 2]]
-    parity = [0] * (n + 1)  # over the closed cells, indexed by vertex
-
-    def completes(v: int) -> bool:
-        # vertices v + 1 .. right - 1 not under an inner cell join each cell
-        inner = v + 1
-        for _, right, size in reversed(stack):
-            if size + right - inner not in allowed:
-                return False
-            inner = right
-        return True
-
-    def parities(v: int) -> Mod2Seq:
-        # close the open cells, innermost first, as if no diagonal followed
-        p = parity.copy()
-        inner, before = v + 1, v
-        for left, right, size in reversed(stack):
-            if size + right - inner == 3:
-                for x in (left, right - 1 if right > inner else before, right):
-                    p[x] ^= 1
-            inner, before = right, left
-        return tuple(p[1:])
-
-    def rec(v: int, j: int, base: int):
-        # ``chosen`` ends at (v, j - 1); its cells from v sit at stack[base:]
-        if completes(v):
-            yield chosen, lambda: parities(v)
-        passed = []
-        while True:
-            hi = stack[base - 1][1] if v > 1 else n - 1
-            for w in range(j, hi + 1):
-                chosen.append((v, w))
-                stack.insert(base, [v, w, 2])
-                yield from rec(v, w + 1, base)
-                chosen.pop()
-                del stack[base]
-            v += 1
-            if v > n - 2:
-                break
-            closed = []
-            before = v - 1
-            fits = True
-            while stack[-1][1] == v:
-                cell = stack.pop()
-                if cell[2] == 3:  # every kind allows triangles
-                    parity[cell[0]] ^= 1
-                    parity[before] ^= 1
-                    parity[v] ^= 1
-                elif cell[2] not in allowed:
-                    fits = False
-                closed.append((cell, before))
-                before = cell[0]
-            stack[-1][2] += 1
-            passed.append((v, closed))
-            if not fits or stack[-1][2] > largest:
-                break
-            j, base = v + 2, len(stack)
-        for u, closed in reversed(passed):
-            stack[-1][2] -= 1
-            for cell, before in reversed(closed):
-                if cell[2] == 3:
-                    parity[cell[0]] ^= 1
-                    parity[before] ^= 1
-                    parity[u] ^= 1
-                stack.append(cell)
-
-    return rec(1, 3, 1)
 
 
 class _Algebra:
@@ -549,12 +506,12 @@ class _Counts:
 def _count_states(n: int, kind: str, cap: int, counts: _Counts | None = None) -> list:
     """Count the dissections of the n-gon of ``kind`` by class; see ``_Counts``.
 
-    Checks the arguments as ``_walk`` does.  Without ``counts`` the classes
-    are those of a fresh table over F2: sorted ``(word, count)`` pairs, where
-    ``count`` dissections have a parity quiddity q with the mod-2 product
-    of ``word``, which is E(q_1) * g * E(q_n) for the product g of q_2 ..
-    q_{n-1}.  A sweep passes its own table of ``kind``, over F2 or over Z,
-    and reads and grows it.
+    Checks the arguments as ``enumerate_dissections`` does.  Without
+    ``counts`` the classes are those of a fresh table over F2: sorted
+    ``(word, count)`` pairs, where ``count`` dissections have a parity
+    quiddity q with the mod-2 product of ``word``, which is E(q_1) * g *
+    E(q_n) for the product g of q_2 .. q_{n-1}.  A sweep passes its own
+    table of ``kind``, over F2 or over Z, and reads and grows it.
     """
     n, _ = _cell_sizes(n, kind, cap)
     return (counts or _Counts(kind, _OVER_F2, n)).classes(n)

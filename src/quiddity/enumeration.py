@@ -11,18 +11,19 @@ matched against inverse suffix products, and the matches are sorted.
 
 ``theorem_sweep`` cross-checks the combinatorial characterizations at desk
 scale (dissections -> quiddities -> membership, and solutions ->
-realization -> round trip); dissection sweeps build a ``Dissection`` only
-for a counterexample, and none is expected.  The forward sweeps do not
-list the dissections: ``_count_states`` counts them by class over one
-table per sweep, over F2 for thm1i ({3,4} dissections by the mod-2 product
-of their parity quiddity) and over Z for thm2 and thm3 (triangulations and
-3d dissections by the product and sum of their cc quiddity).  Each of the
-few classes is decided once; the dissections are walked only to name the
-counterexamples of a failing class, and for the quiddity set that the
-converse of thm2 and thm3 compares against.
+realization -> round trip).  The forward sweeps do not list the
+dissections: ``_count_states`` counts them by class over one table per
+sweep, over F2 for thm1i ({3,4} dissections by the mod-2 product of their
+parity quiddity) and over Z for thm2 and thm3 (triangulations and 3d
+dissections by the product and sum of their cc quiddity).  Each of the few
+classes is decided once; ``enumerate_dissections`` lists the dissections
+only to name the counterexamples of a failing class, and for the quiddity
+set that the converse of thm2 and thm3 compares against, each read with
+its own ``quiddity_mod2`` or ``quiddity_cc``.
 """
 
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -41,14 +42,12 @@ from .algebra import (
 )
 from .dissections import (
     DEFAULT_POLYGON_CAP,
-    Dissection,
     _OVER_F2,
     _OVER_Z,
     _Counts,
-    _cc_quiddity,
     _check_cap,
     _count_states,
-    _walk,
+    enumerate_dissections,
 )
 from .surgery import realize_dissection, realize_triangulation
 
@@ -234,7 +233,7 @@ def _check_sweep(
 
 
 def _mismatch(n: int, failing: int, named: int) -> list[str]:
-    """The counterexample of a count whose failing dissections the walk does not all name."""
+    """The counterexample of a count whose failing dissections the stream does not all name."""
     if failing and named != failing:
         return [f"n={n}: {failing} dissections counted as failing, {named} found"]
     return []
@@ -271,15 +270,16 @@ def theorem_sweep(
     decided with ``is_gamma2_solution``; that of thm2 and thm3 is the
     product of the cc quiddity in SL(2, Z) with its entry sum, decided
     with ``classify_pm_identity``.  Only when a class fails is a sweep's
-    kind walked, to name each failing dissection (thm1i, thm2) or quiddity
-    (thm3) in stream or sorted order, and a count the walk does not match
-    is itself a counterexample.  For n <= ``converse_hi`` thm2 and thm3
-    walk anyway, to collect the quiddities their converse compares with
-    the integer search (entries up to n - 2, about (n-2)^(n/2) products),
-    and check each walked quiddity as it comes; above it only the forward
-    direction is checked and no n is vacuous.  Bounds and caps are read
-    with ``operator.index``; a range holding no n >= 3 raises ``ValueError``,
-    and one reaching past a cap raises ``CapExceeded`` before any work.
+    kind listed by ``enumerate_dissections``, to name each failing
+    dissection (thm1i, thm2) or quiddity (thm3) in stream or sorted order,
+    and a count the stream does not match is itself a counterexample.  For
+    n <= ``converse_hi`` thm2 and thm3 list it anyway, to collect the
+    quiddities their converse compares with the integer search (entries up
+    to n - 2, about (n-2)^(n/2) products), and check each listed quiddity
+    as it comes; above it only the forward direction is checked and no n
+    is vacuous.  Bounds and caps are read with ``operator.index``; a range
+    holding no n >= 3 raises ``ValueError``, and one reaching past a cap
+    raises ``CapExceeded`` before any work.
     """
     if which not in SWEEP_NAMES:
         raise ValueError(f"unknown sweep {which!r}; expected one of {SWEEP_NAMES}")
@@ -304,10 +304,9 @@ def theorem_sweep(
             failing = sum(count for word, count in classes if not is_gamma2_solution(word))
             if failing:
                 named = []
-                for chosen, parities in _walk(n, kind, polygon_cap):
-                    q = parities()
+                for d in enumerate_dissections(n, kind, polygon_cap):
+                    q = d.quiddity_mod2()
                     if not is_gamma2_solution(q):
-                        d = Dissection(n, tuple(chosen), check=False)
                         named.append(f"n={n}: quiddity {format_seq(q)} of {d!r} is not a solution")
                 bad += named + _mismatch(n, failing, len(named))
         elif which == "thm1ii":
@@ -324,8 +323,8 @@ def theorem_sweep(
             tri_quiddities = set()
             if failing or n <= converse_hi:
                 named = 0
-                for chosen, _ in _walk(n, kind, polygon_cap):
-                    q = _cc_quiddity(n, chosen)
+                for d in enumerate_dissections(n, kind, polygon_cap):
+                    q = d.quiddity_cc()
                     tri_quiddities.add(q)
                     lines = []
                     if classify_pm_identity(m_product(q)) is not MatClass.MINUS_ID:
@@ -347,11 +346,9 @@ def theorem_sweep(
             failing = sum(
                 count for (m, _), count in classes if classify_pm_identity(Mat2(*m)) is MatClass.OTHER
             )
-            quiddities = {}  # each with its number of dissections
+            quiddities = Counter()  # each with its number of dissections
             if failing or n <= converse_hi:
-                for chosen, _ in _walk(n, kind, polygon_cap):
-                    q = _cc_quiddity(n, chosen)
-                    quiddities[q] = quiddities.get(q, 0) + 1
+                quiddities.update(d.quiddity_cc() for d in enumerate_dissections(n, kind, polygon_cap))
                 named = 0
                 for q in sorted(quiddities):
                     if classify_pm_identity(m_product(q)) is MatClass.OTHER:

@@ -388,6 +388,21 @@ def test_realize_dot_takes_one_sequence(tmp_path, capsys):
     assert not dot.exists()
 
 
+def test_realize_geometry_without_dot_is_a_usage_error(capsys):
+    assert run(capsys, "realize", "1,1,1", "--geometry", "circle") == (
+        2, "", "quiddity: --geometry needs --dot\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "flags", [["--tuples"], ["--classes"], ["--verify-jacobsthal"], ["--tuples", "--classes", "--verify-jacobsthal"]]
+)
+def test_enumerate_sweep_with_a_listing_flag_is_a_usage_error(capsys, flags):
+    assert run(capsys, "enumerate", "5", "--sweep", "thm1i", *flags) == (
+        2, "", "quiddity: --sweep cannot be combined with --classes, --tuples or --verify-jacobsthal\n"
+    )
+
+
 def test_realize_dot_from_a_one_line_file(tmp_path, capsys):
     batch = tmp_path / "seq.txt"
     batch.write_text("0,0,0,0\n")

@@ -13,7 +13,7 @@ import pytest
 
 from quiddity import enumerate_dissections, jacobsthal_count
 from quiddity.algebra import _MOD2_STEPS, _MOD2_WORDS, _fold
-from quiddity.dissections import _CELL_RULES, _OVER_F2, _OVER_Z, _Counts, _cc_quiddity, _walk
+from quiddity.dissections import _CELL_RULES, _OVER_F2, _OVER_Z, _Counts
 
 KINDS = ("all", "triangulation", "34", "3d")
 
@@ -28,11 +28,11 @@ def _mod2_word(q):
 def _histograms(n, kind):
     """The walk's classes over Z and over F2, each a sorted (key, count) list."""
     over_z, over_f2 = {}, {}
-    for chosen, parities in _walk(n, kind, n):
-        q = _cc_quiddity(n, chosen)
+    for d in enumerate_dissections(n, kind, n):
+        q = d.quiddity_cc()
         key = _fold(q), sum(q)
         over_z[key] = over_z.get(key, 0) + 1
-        word = _mod2_word(parities())
+        word = _mod2_word(d.quiddity_mod2())
         over_f2[word] = over_f2.get(word, 0) + 1
     return sorted(over_z.items()), sorted(over_f2.items())
 

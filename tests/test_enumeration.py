@@ -10,6 +10,7 @@ from quiddity import (
     MatClass,
     cyclic_classes,
     entries_one_check,
+    enumerate_dissections,
     is_gamma2_solution,
     jacobsthal_count,
     solution_report,
@@ -121,6 +122,22 @@ def test_solutions_pm_identity_rejects_non_integer_arguments(args):
         solutions_pm_identity(*args)
 
 
+@pytest.mark.parametrize("call", [
+    lambda cap: next(enumerate_dissections(4, cap=cap)),
+    lambda cap: solutions_gamma2(5, cap=cap),
+    lambda cap: solutions_pm_identity(5, cap=cap),
+], ids=["enumerate_dissections", "solutions_gamma2", "solutions_pm_identity"])
+def test_caps_reject_floats(call):
+    for cap in (4.5, 5.0, 5.9):
+        with pytest.raises(TypeError):
+            call(cap)
+
+
+def test_caps_accept_bools():
+    assert solutions_gamma2(1, cap=True) == []
+    assert solutions_pm_identity(1, cap=True) == []
+
+
 def test_entries_one_check():
     assert entries_one_check([(1, 1, 1)])
     assert entries_one_check([(1, 3, 1, 2, 2)])
@@ -168,7 +185,7 @@ def test_thm3_above_converse_hi_checks_products():
 
 
 def _patch_sweep_workers(monkeypatch, result):
-    for name in ("_walk", "_count_states", "solutions_gamma2", "solutions_pm_identity"):
+    for name in ("enumerate_dissections", "_count_states", "solutions_gamma2", "solutions_pm_identity"):
         monkeypatch.setattr(enumeration, name, result)
 
 
@@ -296,7 +313,7 @@ def test_thm1ii_and_remark_report_a_wrong_realization(monkeypatch):
 def test_thm2_reports_a_wrong_sum_and_a_missed_solution(monkeypatch):
     # every pentagon triangulation reads 1,1,1,1,1: -Id by the patched
     # classifier, but summing to 5, not 3n - 6 = 9
-    monkeypatch.setattr(enumeration, "_cc_quiddity", lambda n, chosen: (1,) * n)
+    monkeypatch.setattr(Dissection, "quiddity_cc", lambda d: (1,) * d.n)
     monkeypatch.setattr(enumeration, "classify_pm_identity", lambda m: MatClass.MINUS_ID)
     # only a -Id solution with the quiddity sum counts against the converse
     solutions = [((1, 2, 2, 1, 3), 1), ((1, 1, 1, 1, 1), -1), ((1, 2, 2, 1, 3), -1)]

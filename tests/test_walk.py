@@ -1,12 +1,12 @@
-"""The dissection walk's own quiddities against the frozen ``seed_cells`` reference.
+"""The dissection stream's quiddities against the frozen ``seed_cells`` reference.
 
-``theorem_sweep`` reads the walk behind ``enumerate_dissections`` directly:
-its diagonal list, the cc quiddity as 1 + the diagonal degrees, and the
-triangle parities it keeps as cells close.  These tests pin all three, and
-the sweep and CLI outputs built on them.  thm1i, thm2 and thm3 decide by
-the count of ``_count_states`` and walk only to name counterexamples (and,
-for thm2 and thm3, to collect the quiddities of their converse), so the
-count is pinned to the walk too.
+``theorem_sweep`` reads each set of ``enumerate_dissections`` through its
+diagonals, ``quiddity_cc`` (1 + the diagonal degrees) and
+``quiddity_mod2``.  These tests pin all three for every kind, and the
+sweep and CLI outputs built on them.  thm1i, thm2 and thm3 decide by the
+count of ``_count_states`` and list the stream only to name counterexamples
+(and, for thm2 and thm3, to collect the quiddities of their converse), so
+the count is pinned to the stream too.
 """
 
 import functools
@@ -25,14 +25,14 @@ from quiddity import (
 from quiddity import dissections, enumeration
 from quiddity.algebra import _MOD2_STEPS, _MOD2_WORDS
 from quiddity.cli import main
-from quiddity.dissections import _cc_quiddity, _count_states, _walk
+from quiddity.dissections import _count_states
 
 KINDS = ("all", "triangulation", "34", "3d")
 
 
 def _walk_readings(n, kind):
-    for chosen, parities in _walk(n, kind, n):
-        yield tuple(chosen), _cc_quiddity(n, chosen), parities()
+    for d in enumerate_dissections(n, kind, n):
+        yield d.diagonals, d.quiddity_cc(), d.quiddity_mod2()
 
 
 @pytest.mark.parametrize("n", range(3, 12))
@@ -157,8 +157,8 @@ def test_count_total_is_the_enumeration_length(n, kind):
 @pytest.mark.parametrize("n", range(3, 12))
 def test_count_classes_are_the_walk_histogram(n):
     want = {}
-    for _, parities in _walk(n, "34", n):
-        key = _class_word(parities())
+    for d in enumerate_dissections(n, "34", n):
+        key = _class_word(d.quiddity_mod2())
         want[key] = want.get(key, 0) + 1
     assert _count_states(n, "34", n) == sorted(want.items())
 
@@ -171,7 +171,7 @@ def test_count_classes_are_the_walk_histogram(n):
 ])
 def test_count_checks_its_arguments_as_the_walk_does(args, error):
     with pytest.raises(error) as walked:
-        _walk(*args)
+        next(enumerate_dissections(*args))
     with pytest.raises(error) as counted:
         _count_states(*args)
     assert str(counted.value) == str(walked.value)
@@ -182,11 +182,10 @@ def test_thm1i_names_the_failing_sets_when_pentagons_are_admitted(monkeypatch):
     # find failing classes and name every failing set in stream order
     monkeypatch.setitem(dissections._CELL_RULES, "34", lambda s: s in (3, 4, 5))
     sets, want = 0, []
-    for chosen, parities in _walk(9, "34", 12):
+    for d in enumerate_dissections(9, "34", 12):
         sets += 1
-        q = parities()
+        q = d.quiddity_mod2()
         if not enumeration.is_gamma2_solution(q):
-            d = Dissection(9, tuple(chosen))
             want.append(f"n=9: quiddity {format_seq(q)} of {d!r} is not a solution")
     report = theorem_sweep("thm1i", 9, 9)
     assert len(want) == 1044
@@ -215,7 +214,7 @@ def test_thm2_and_thm3_report_a_counted_failure_the_walk_cannot_name(monkeypatch
 
     monkeypatch.setattr(enumeration, "_count_states", counted)
     report = theorem_sweep(which, 9, 9)
-    assert report.checked == sum(1 for _ in _walk(9, kind, 9)) + 1
+    assert report.checked == sum(1 for _ in enumerate_dissections(9, kind, 9)) + 1
     assert report.counterexamples == ("n=9: 1 dissections counted as failing, 0 found",)
 
 
@@ -225,9 +224,9 @@ def test_thm2_and_thm3_walk_only_for_the_converse_when_every_class_holds(monkeyp
 
     def walk(n, kind, cap):
         walked.append(n)
-        return _walk(n, kind, cap)
+        return enumerate_dissections(n, kind, cap)
 
-    monkeypatch.setattr(enumeration, "_walk", walk)
+    monkeypatch.setattr(enumeration, "enumerate_dissections", walk)
     report = theorem_sweep(which, 3, 10, converse_hi=5)
     assert report.ok
     assert walked == [3, 4, 5]
