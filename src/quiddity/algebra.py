@@ -206,10 +206,11 @@ def in_principal_congruence(m: Mat2, modulus: int) -> bool:
     return m.mod(modulus) == Mat2Mod.identity(modulus)
 
 
-# The six elements of SL(2, F2): state s is M(w) mod 2 for the s-th word w of
-# _MOD2_WORDS, and _MOD2_STEPS[s][e] is M(w + (e,)).
+# The six elements of SL(2, F2) as (a, b, c, d) mod 2, and _MOD2_STEPS[s][e]
+# is state s times E(e): 0 = Id = (1, 0, 0, 1), 1 = E(0) = (0, 1, 1, 0),
+# 2 = E(1) = (1, 1, 1, 0), 3 = E(0)E(1) = (1, 0, 1, 1), 4 = E(1)E(0) =
+# (1, 1, 0, 1) and 5 = E(1)E(1) = (0, 1, 1, 1).
 _MOD2_STEPS = ((1, 2), (0, 3), (4, 5), (5, 4), (2, 1), (3, 0))
-_MOD2_WORDS = ((), (0,), (1,), (0, 1), (1, 0), (1, 1))
 
 
 def is_gamma2_solution(seq) -> bool:

@@ -14,8 +14,8 @@ diagonals there), ``quiddity_mod2`` the parity of the number of triangle
 cells meeting each vertex.
 One count engine, ``_Counts``, sorts the dissections of a kind into
 classes without listing them, by dynamic programming over the root cell of
-each segment: over F2 by the mod-2 product of their parity quiddity, and
-over Z by the exact product and the entry sum of their cc quiddity.
+each segment: by the product and the entry sum of their cc quiddity over
+Z, or of their parity quiddity mod 2.
 """
 
 import json
@@ -24,7 +24,7 @@ import operator
 from bisect import bisect_left, bisect_right
 from typing import Iterator, NamedTuple
 
-from .algebra import _MOD2_STEPS, _MOD2_WORDS, IntSeq, Mod2Seq, _mul
+from .algebra import IntSeq, Mod2Seq, _mul
 
 __all__ = [
     "DEFAULT_POLYGON_CAP",
@@ -236,8 +236,9 @@ class Dissection:
     def from_json_dict(cls, data: dict) -> "Dissection":
         if not isinstance(data, dict):
             raise DissectionError("dissection JSON must be an object")
-        if data.get("schema", 1) != 1:
-            raise DissectionError(f"unsupported schema {data.get('schema')!r}")
+        schema = data.get("schema", 1)
+        if type(schema) is not int or schema != 1:
+            raise DissectionError(f"unsupported schema {schema!r}")
         try:
             n = data["n"]
             diagonals = data["diagonals"]
@@ -251,9 +252,10 @@ class Dissection:
 
     @classmethod
     def from_json(cls, text: str) -> "Dissection":
+        # json.loads raises RecursionError on arrays or objects nested too deeply
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise DissectionError(f"invalid JSON: {exc}") from None
         return cls.from_json_dict(data)
 
@@ -362,84 +364,45 @@ def _cell_sizes(n: int, kind: str, cap: int) -> tuple[int, set[int]]:
     return n, {s for s in range(3, n + 1) if rule(s)}
 
 
-class _Algebra:
-    """What the count engine of ``_Counts`` needs to know of the quiddity it counts by.
-
-    A cell adds ``triangle`` (a triangle) or ``polygon`` (a larger cell) at
-    each of its corners, and ``add`` combines what cells add at a vertex.
-    The interior products of segments are elements with ``unit``:
-    ``step(g, c)`` is g * E(c) and ``mul(g, h)`` is g * h.  ``key(a, g,
-    b)`` names the class of the n-gon's product E(a) * g * E(b).
-    """
-
-    # a plain class: a NamedTuple costs about 0.15 ms at import
-    __slots__ = ("triangle", "polygon", "add", "unit", "step", "mul", "key")
-
-    def __init__(self, triangle: int, polygon: int, add, unit, step, mul, key):
-        self.triangle, self.polygon, self.add, self.unit = triangle, polygon, add, unit
-        self.step, self.mul, self.key = step, mul, key
+# The moduli a count table reduces by: 0 counts over Z, 2 mod 2.
+_OVER_Z, _OVER_F2 = 0, 2
 
 
-def _mod2_times(g: int, word: tuple) -> int:
-    for e in word:
-        g = _MOD2_STEPS[g][e]
-    return g
-
-
-_MOD2_MUL = [[_mod2_times(g, word) for word in _MOD2_WORDS] for g in range(6)]  # [g][h] = g * h
-
-# Triangle parities, and SL(2, F2) as the six states of _MOD2_STEPS.  A class
-# is the word (a, w, b) for the word w of g in _MOD2_WORDS: its mod-2 product
-# is the n-gon's.
-_OVER_F2 = _Algebra(
-    1, 0, operator.xor, 0,
-    lambda g, c: _MOD2_STEPS[g][c],
-    lambda g, h: _MOD2_MUL[g][h],
-    lambda a, g, b: (a, *_MOD2_WORDS[g], b),
-)
-
-
-# Over Z an element is (product, sum): the interior product, an int 4-tuple
-# of SL(2, Z), and the sum of the interior entries.  A class is the n-gon's
-# product M(q) with the sum of q.
-def _step_z(g: tuple, c: int) -> tuple:
-    return _mul(g[0], (c, -1, 1, 0)), g[1] + c
-
-
-def _mul_z(g: tuple, h: tuple) -> tuple:
-    return _mul(g[0], h[0]), g[1] + h[1]
-
-
-_UNIT_Z = ((1, 0, 0, 1), 0)
-_OVER_Z = _Algebra(
-    1, 1, operator.add, _UNIT_Z, _step_z, _mul_z,
-    lambda a, g, b: _step_z(_mul_z(_step_z(_UNIT_Z, a), g), b),
-)
+def _reduced(g: tuple, s: int, p: int) -> tuple:
+    """The product g and the sum s, reduced mod p unless p is 0 (over Z)."""
+    if p:
+        a, b, c, d = g
+        return (a % p, b % p, c % p, d % p), s % p
+    return g, s
 
 
 class _Counts:
-    """The count's table of segment states by length, for one kind over one algebra.
+    """The count's table of segment states by length, for one kind over Z or mod 2.
 
     A segment i..j closed by the chord (i, j), or by the side (1, n), has
-    the state (a, b, g): what its cells add at i and at j, and the product
-    g of its interior entries, which no cell outside it touches.  A segment
-    of length 1 is a side, (0, 0, unit).  A longer one is a root cell,
-    whose corners i = u_0 < ... < u_t = j split it into t shorter segments
-    (Flajolet-Sedgewick's decomposition of polygon dissections by root
-    cell).  Joining them left to right puts E(b_k + a_{k+1} + w) between
-    the products of neighbours, w being what the cell adds at a corner, and
+    the state (a, b, g, s): what its cells add at i and at j, and the
+    product g, an int 4-tuple, and the sum s of its interior entries, which
+    no cell outside it touches.  The modulus picks the quiddity: over Z
+    (``_OVER_Z``) every cell adds 1 at each of its corners, as in the cc
+    quiddity; mod 2 (``_OVER_F2``) only a triangle does, as in the parity
+    quiddity, and every value is reduced mod 2.  A segment of length 1 is a
+    side, (0, 0, Id, 0).  A longer one is a root cell, whose corners i =
+    u_0 < ... < u_t = j split it into t shorter segments (Flajolet-
+    Sedgewick's decomposition of polygon dissections by root cell).
+    Joining them left to right puts E(b_k + a_{k+1} + w) between the
+    products of neighbours, w being what the cell adds at a corner, and
     closing the cell adds w at i and at j.  Segments depend only on their
     length, so one table by length, up to n - 1, serves every polygon up to
     the n-gon, whose segment 1..n has the entries a and b at its ends.  The
     table grows by length on demand, so a sweep over n builds it once.
     """
 
-    def __init__(self, kind: str, algebra: _Algebra, n: int):
+    def __init__(self, kind: str, modulus: int, n: int):
         self.n, self._allowed = _cell_sizes(n, kind, n)
-        self._algebra = algebra
+        self._modulus = modulus
         self._segments = {}  # by length
-        self._starts = {}  # by length, then by the state's a: [(b, g, count)]
-        self._add_segments({(0, 0, algebra.unit): 1})
+        self._starts = {}  # by length, then by the state's a: [(b, g, s, count)]
+        self._add_segments({(0, 0, (1, 0, 0, 1), 0): 1})
         # runs[t][length]: t segments side by side under a cell of 4 or more
         # corners, for t up to the largest such cell's ``most`` segments
         self._runs = {1: self._segments}
@@ -450,30 +413,31 @@ class _Counts:
         length = len(self._segments) + 1
         self._segments[length] = states
         self._starts[length] = starts = {}
-        for (a, b, g), m in states.items():
-            starts.setdefault(a, []).append((b, g, m))
+        for (a, b, g, s), m in states.items():
+            starts.setdefault(a, []).append((b, g, s, m))
 
     def _join(self, left: dict, x: int, w: int, out: dict) -> None:
         """Add each run of ``left`` followed by each segment of length x to ``out``."""
-        add, step, mul = self._algebra.add, self._algebra.step, self._algebra.mul
+        p = self._modulus
         starts = self._starts[x].items()
-        for (a0, b, g), m in left.items():
-            bw = add(b, w)
+        for (a0, b, g, s), m in left.items():
             for a, segments in starts:
-                gc = step(g, add(bw, a))
-                for b2, h, k in segments:
-                    key = a0, b2, mul(gc, h)
+                c = b + w + a
+                gc, sc = _mul(g, (c, -1, 1, 0)), s + c
+                for b2, h, t, k in segments:
+                    key = a0, b2, *_reduced(_mul(gc, h), sc + t, p)
                     out[key] = out.get(key, 0) + m * k
 
     def _close(self, run: dict, w: int, out: dict) -> None:
-        add = self._algebra.add
-        for (a, b, g), m in run.items():
-            key = add(a, w), add(b, w), g
+        p = self._modulus
+        for (a, b, g, s), m in run.items():
+            a, b = a + w, b + w
+            key = (a % p, b % p, g, s) if p else (a, b, g, s)
             out[key] = out.get(key, 0) + m
 
     def _grow(self) -> None:
         length = len(self._segments) + 1
-        triangle, polygon = self._algebra.triangle, self._algebra.polygon
+        triangle, polygon = 1, int(self._modulus == _OVER_Z)
         closed = {}
         for t in range(2, min(self._most, length) + 1):
             self._runs.setdefault(t, {})[length] = run = {}
@@ -491,27 +455,29 @@ class _Counts:
         self._add_segments(closed)
 
     def classes(self, n: int) -> list:
-        """Sorted ``(key, count)`` pairs: ``count`` dissections of the n-gon are in the class ``key``."""
+        """Sorted ``((m, total), count)`` pairs: ``count`` dissections of the n-gon.
+
+        Each has a quiddity q with the product M(q) = m, an int 4-tuple, and
+        the sum ``total``, both reduced mod the table's modulus.
+        """
         if not 3 <= n <= self.n:
             raise ValueError(f"the table counts polygons of 3..{self.n} vertices, not {n}")
         while len(self._segments) < n - 1:
             self._grow()
         out = {}
-        for (a, b, g), m in self._segments[n - 1].items():
-            key = self._algebra.key(a, g, b)
+        for (a, b, g, s), m in self._segments[n - 1].items():
+            key = _reduced(_mul(_mul((a, -1, 1, 0), g), (b, -1, 1, 0)), a + s + b, self._modulus)
             out[key] = out.get(key, 0) + m
         return sorted(out.items())
 
 
 def _count_states(n: int, kind: str, cap: int, counts: _Counts | None = None) -> list:
-    """Count the dissections of the n-gon of ``kind`` by class; see ``_Counts``.
+    """Count the dissections of the n-gon of ``kind`` by class; see ``_Counts.classes``.
 
     Checks the arguments as ``enumerate_dissections`` does.  Without
-    ``counts`` the classes are those of a fresh table over F2: sorted
-    ``(word, count)`` pairs, where ``count`` dissections have a parity
-    quiddity q with the mod-2 product of ``word``, which is E(q_1) * g *
-    E(q_n) for the product g of q_2 .. q_{n-1}.  A sweep passes its own
-    table of ``kind``, over F2 or over Z, and reads and grows it.
+    ``counts`` the classes are those of a fresh table mod 2, by the product
+    and sum of the parity quiddity.  A sweep passes its own table of
+    ``kind``, over Z or mod 2, and reads and grows it.
     """
     n, _ = _cell_sizes(n, kind, cap)
     return (counts or _Counts(kind, _OVER_F2, n)).classes(n)

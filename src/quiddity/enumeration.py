@@ -13,10 +13,10 @@ matched against inverse suffix products, and the matches are sorted.
 scale (dissections -> quiddities -> membership, and solutions ->
 realization -> round trip).  The forward sweeps do not list the
 dissections: ``_count_states`` counts them by class over one table per
-sweep, over F2 for thm1i ({3,4} dissections by the mod-2 product of their
-parity quiddity) and over Z for thm2 and thm3 (triangulations and 3d
-dissections by the product and sum of their cc quiddity).  Each of the few
-classes is decided once; ``enumerate_dissections`` lists the dissections
+sweep, each class the product and entry sum of a quiddity: mod 2 for thm1i
+({3,4} dissections and their parity quiddity) and over Z for thm2 and thm3
+(triangulations and 3d dissections and their cc quiddity).  Each of the
+few classes is decided once; ``enumerate_dissections`` lists the dissections
 only to name the counterexamples of a failing class, and for the quiddity
 set that the converse of thm2 and thm3 compares against, each read with
 its own ``quiddity_mod2`` or ``quiddity_cc``.
@@ -71,7 +71,7 @@ DEFAULT_INT_CAP = 8
 
 SWEEP_NAMES = ("thm1i", "thm1ii", "thm2", "thm3", "remark")
 
-# the kind each forward sweep counts, and the algebra it counts over
+# the kind each forward sweep counts, and the modulus it counts by
 _COUNTED = {"thm1i": ("34", _OVER_F2), "thm2": ("triangulation", _OVER_Z), "thm3": ("3d", _OVER_Z)}
 
 # default top n of the thm2/thm3 integer-search converse
@@ -266,14 +266,14 @@ def theorem_sweep(
 
     thm1i, thm2 and thm3 count the dissections by class, on one table
     grown with n, and decide each class once; ``checked`` is the count.
-    thm1i's class is the product of the parity quiddity in SL(2, F2),
-    decided with ``is_gamma2_solution``; that of thm2 and thm3 is the
-    product of the cc quiddity in SL(2, Z) with its entry sum, decided
-    with ``classify_pm_identity``.  Only when a class fails is a sweep's
-    kind listed by ``enumerate_dissections``, to name each failing
-    dissection (thm1i, thm2) or quiddity (thm3) in stream or sorted order,
-    and a count the stream does not match is itself a counterexample.  For
-    n <= ``converse_hi`` thm2 and thm3 list it anyway, to collect the
+    A class is the product of a quiddity with its entry sum, decided with
+    ``classify_pm_identity``: for thm1i the parity quiddity's mod 2, where
+    -Id is Id, and for thm2 and thm3 the cc quiddity's over Z.  Only when
+    a class fails is a sweep's kind listed by ``enumerate_dissections``,
+    to name each failing dissection (thm1i, thm2) or quiddity (thm3) in
+    stream or sorted order, and a count the stream does not match is
+    itself a counterexample.  For n <= ``converse_hi`` thm2 and thm3 list
+    it anyway, to collect the
     quiddities their converse compares with the integer search (entries up
     to n - 2, about (n-2)^(n/2) products), and check each listed quiddity
     as it comes; above it only the forward direction is checked and no n
@@ -293,15 +293,23 @@ def theorem_sweep(
     checked = 0
     bad: list[str] = []
     if which in _COUNTED:
-        kind, algebra = _COUNTED[which]
-        counts = _Counts(kind, algebra, n_hi)
+        kind, modulus = _COUNTED[which]
+        counts = _Counts(kind, modulus, n_hi)
 
     for n in range(start, n_hi + 1):
         if which in _COUNTED:
             classes = _count_states(n, kind, polygon_cap, counts)
             checked += sum(count for _, count in classes)
+            if which == "thm2":
+                failing = sum(
+                    count for (m, total), count in classes
+                    if classify_pm_identity(Mat2(*m)) is not MatClass.MINUS_ID or total != 3 * n - 6
+                )
+            else:  # thm1i and thm3; mod 2, for thm1i, -Id is Id
+                failing = sum(
+                    count for (m, _), count in classes if classify_pm_identity(Mat2(*m)) is MatClass.OTHER
+                )
         if which == "thm1i":
-            failing = sum(count for word, count in classes if not is_gamma2_solution(word))
             if failing:
                 named = []
                 for d in enumerate_dissections(n, kind, polygon_cap):
@@ -316,10 +324,6 @@ def theorem_sweep(
                 if not d.classify().is_34 or d.quiddity_mod2() != s:
                     bad.append(f"n={n}: realization of {format_seq(s)} gave {d!r}")
         elif which == "thm2":
-            failing = sum(
-                count for (m, total), count in classes
-                if classify_pm_identity(Mat2(*m)) is not MatClass.MINUS_ID or total != 3 * n - 6
-            )
             tri_quiddities = set()
             if failing or n <= converse_hi:
                 named = 0
@@ -343,9 +347,6 @@ def theorem_sweep(
                             f"is not a triangulation quiddity"
                         )
         elif which == "thm3":
-            failing = sum(
-                count for (m, _), count in classes if classify_pm_identity(Mat2(*m)) is MatClass.OTHER
-            )
             quiddities = Counter()  # each with its number of dissections
             if failing or n <= converse_hi:
                 quiddities.update(d.quiddity_cc() for d in enumerate_dissections(n, kind, polygon_cap))

@@ -375,8 +375,9 @@ def trace_from_json_dict(data: dict) -> SurgeryTrace:
     """Parse a trace object; it is replayed once, so every index is in range."""
     if not isinstance(data, dict):
         raise SurgeryError("trace JSON must be an object")
-    if data.get("schema", 1) != 1:
-        raise SurgeryError(f"unsupported schema {data.get('schema')!r}")
+    schema = data.get("schema", 1)
+    if type(schema) is not int or schema != 1:
+        raise SurgeryError(f"unsupported schema {schema!r}")
     try:
         base_text, entries = data["base"], data["steps"]
     except KeyError as exc:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from quiddity import Dissection, format_seq, in_principal_congruence, m_product
+from quiddity import Dissection, MatClass, format_seq, in_principal_congruence, m_product
 from quiddity import enumeration
 from quiddity.cli import main
 
@@ -318,7 +318,8 @@ THM1I_TO_4_COUNTEREXAMPLES = [
 
 
 def test_enumerate_sweep_counterexamples_exit_1(capsys, monkeypatch):
-    # the theorem holds, so make thm1i's membership test reject everything
+    # the theorem holds, so make thm1i's class and membership tests reject everything
+    monkeypatch.setattr(enumeration, "classify_pm_identity", lambda m: MatClass.OTHER)
     monkeypatch.setattr(enumeration, "is_gamma2_solution", lambda q: False)
     code, out, err = run(capsys, "enumerate", "4", "--sweep", "thm1")
     assert (code, err) == (1, "")
@@ -419,6 +420,24 @@ def test_quiddity_command_rejects_a_json_array(tmp_path, capsys):
     assert run(capsys, "quiddity", str(path), "--cc") == (
         2, "", "quiddity: dissection JSON must be an object\n"
     )
+
+
+@pytest.mark.parametrize("source", ["stdin", "file"])
+def test_quiddity_command_rejects_too_deeply_nested_json(tmp_path, capsys, monkeypatch, source):
+    # json.loads gives up on this nesting with a RecursionError
+    text = "[" * 200_000
+    if source == "stdin":
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        arg = "-"
+    else:
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        arg = str(path)
+    code, out, err = run(capsys, "quiddity", arg, "--cc")
+    assert (code, out) == (2, "")
+    assert err.startswith("quiddity: invalid JSON: ")
 
 
 def test_check_pm_prints_a_long_product_in_full(tmp_path, capsys):

@@ -1,39 +1,34 @@
 """The count engine of ``_Counts`` against the walk and against closed forms.
 
-One table per kind and algebra serves every n up to its top, as in a sweep.
-Over Z a class is the n-gon's product M(q) of the cc quiddity q with the
-sum of q; over F2 it is the word of the mod-2 product of the parity
-quiddity.  Both must reproduce the walk's histogram exactly, and the totals
-must equal counts that do not come from the root-cell decomposition.
+One table per kind and modulus serves every n up to its top, as in a
+sweep.  A class is the n-gon's product M(q) of a quiddity q with the sum of
+q: over Z of the cc quiddity, mod 2 of the parity quiddity.  Both must
+reproduce the walk's histogram exactly, and the totals must equal counts
+that do not come from the root-cell decomposition.
 """
 
+import functools
 from math import comb
 
 import pytest
 
 from quiddity import enumerate_dissections, jacobsthal_count
-from quiddity.algebra import _MOD2_STEPS, _MOD2_WORDS, _fold
+from quiddity.algebra import _MOD2_STEPS, _fold
 from quiddity.dissections import _CELL_RULES, _OVER_F2, _OVER_Z, _Counts
 
 KINDS = ("all", "triangulation", "34", "3d")
 
 
-def _mod2_word(q):
-    state = 0
-    for e in q[1:-1]:
-        state = _MOD2_STEPS[state][e]
-    return (q[0], *_MOD2_WORDS[state], q[-1])
-
-
 def _histograms(n, kind):
-    """The walk's classes over Z and over F2, each a sorted (key, count) list."""
+    """The walk's classes over Z and mod 2, each a sorted (key, count) list."""
     over_z, over_f2 = {}, {}
     for d in enumerate_dissections(n, kind, n):
         q = d.quiddity_cc()
         key = _fold(q), sum(q)
         over_z[key] = over_z.get(key, 0) + 1
-        word = _mod2_word(d.quiddity_mod2())
-        over_f2[word] = over_f2.get(word, 0) + 1
+        p = d.quiddity_mod2()
+        key = _fold(p, 2), sum(p) % 2
+        over_f2[key] = over_f2.get(key, 0) + 1
     return sorted(over_z.items()), sorted(over_f2.items())
 
 
@@ -80,8 +75,16 @@ def _lagrange(n, rule):
     return total
 
 
-def _totals(kind, algebra, top):
-    counts = _Counts(kind, algebra, top)
+@functools.cache
+def _table(kind, modulus, top):
+    """The table of ``kind`` by ``modulus``, grown to the ``top``-gon."""
+    counts = _Counts(kind, modulus, top)
+    counts.classes(top)
+    return counts
+
+
+def _totals(kind, modulus, top):
+    counts = _table(kind, modulus, top)
     return [sum(count for _, count in counts.classes(n)) for n in range(3, top + 1)]
 
 
@@ -96,6 +99,15 @@ def test_count_totals_match_closed_forms():
     # the tables of thm2 and thm3, as far as the README runs those sweeps
     assert _totals("triangulation", _OVER_Z, 30) == totals["triangulation"]
     assert _totals("3d", _OVER_Z, 20) == totals["3d"][:18]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_mod2_table_holds_at_most_48_states_per_length(kind):
+    # a state mod 2 is two corner bits, an element of SL(2, F2) and a sum
+    # bit; a value left unreduced leaves the classes as they are but grows
+    # the table with n
+    segments = _table(kind, _OVER_F2, 30)._segments
+    assert max(map(len, segments.values())) <= 2 * 2 * 6 * 2
 
 
 @pytest.mark.parametrize("kind, count", [

@@ -246,6 +246,12 @@ def test_json_rejects_bad_input():
         Dissection.from_json('{"n": 4, "diagonals": [[1, 3], [2, 4]]}')
 
 
+@pytest.mark.parametrize("schema", ["true", "1.0"])
+def test_json_accepts_only_the_int_schema_1(schema):
+    with pytest.raises(DissectionError, match=f"unsupported schema {schema.title()}$"):
+        Dissection.from_json(f'{{"schema": {schema}, "n": 4, "diagonals": []}}')
+
+
 NON_INTEGER_JSON = {
     "float n": '{"n": 5.7, "diagonals": [[1, 3]]}',
     "string n": '{"n": "5", "diagonals": [[1, 3]]}',

@@ -257,6 +257,12 @@ def test_trace_from_json_rejects_malformed(data):
         trace_from_json_dict(data)
 
 
+@pytest.mark.parametrize("schema", [True, 1.0])
+def test_trace_from_json_accepts_only_the_int_schema_1(schema):
+    with pytest.raises(SurgeryError, match=f"unsupported schema {schema!r}$"):
+        trace_from_json_dict({"schema": schema, "base": "0,0", "steps": []})
+
+
 def test_trace_from_json_accepts_edge_indices():
     # inserting at m + 1 appends; replay stays the inverse of the log
     data = {"base": "1,1,1", "steps": [{"kind": "InvA", "index": 6}, {"kind": "InvB", "index": 4}]}
