@@ -148,7 +148,8 @@ def _fold(entries, modulus=None) -> tuple[int, int, int, int]:
     return a, b, c, d
 
 
-# entries per leaf of the product tree in m_product; shorter words are one fold
+# entries per leaf of the product tree in m_product; a word of at most this
+# many entries is a tree of one leaf
 _LEAF = 64
 
 
@@ -169,8 +170,6 @@ def m_product(seq) -> Mat2:
     entries = tuple(seq)
     if not entries:
         raise ValueError("m_product requires a nonempty sequence")
-    if len(entries) <= _LEAF:
-        return Mat2(*_fold(entries))
     level = [_fold(entries[i : i + _LEAF]) for i in range(0, len(entries), _LEAF)]
     while len(level) > 1:
         paired = [_mul(x, y) for x, y in zip(level[::2], level[1::2])]

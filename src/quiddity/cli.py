@@ -228,10 +228,11 @@ def _cmd_realize(args) -> int:
     for text in texts:
         seq = parse_mod2_seq(text)
         d = realize_triangulation(seq) if args.triangulation else realize_dissection(seq)
-        print(d.to_json())
+        # a failed write is a usage error, and leaves stdout empty
         if args.dot:
             with open(args.dot, "w", encoding="utf-8") as handle:
                 handle.write(d.to_dot(geometry=args.geometry))
+        print(d.to_json())
     return 0
 
 

@@ -305,7 +305,8 @@ def enumerate_dissections(
     left.  Subtrees whose cells break the kind's rule are cut off, and a set
     is built only when its open cells, closed with no more diagonals, keep it.
     """
-    n, allowed = _cell_sizes(n, kind, cap)
+    n, allowed = _cell_sizes(n, kind)
+    _check_cap(n, "polygon", cap)
     # a cell never loses a vertex, so one past this size is a dead end
     largest = max(allowed)
     chosen: list[tuple[int, int]] = []
@@ -352,14 +353,13 @@ def enumerate_dissections(
     yield from rec(1, 3, 1)
 
 
-def _cell_sizes(n: int, kind: str, cap: int) -> tuple[int, set[int]]:
-    """Check the arguments of ``enumerate_dissections`` or ``_count_states``; return n and the cell sizes of the kind."""
+def _cell_sizes(n: int, kind: str) -> tuple[int, set[int]]:
+    """Check the kind and n of ``enumerate_dissections`` or ``_Counts``; return n and the cell sizes of the kind."""
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
     n = operator.index(n)
     if n < 3:
         raise DissectionError(f"a polygon needs at least 3 vertices, got n={n}")
-    _check_cap(n, "polygon", cap)
     rule = _CELL_RULES.get(kind, lambda s: True)
     return n, {s for s in range(3, n + 1) if rule(s)}
 
@@ -394,11 +394,14 @@ class _Counts:
     closing the cell adds w at i and at j.  Segments depend only on their
     length, so one table by length, up to n - 1, serves every polygon up to
     the n-gon, whose segment 1..n has the entries a and b at its ends.  The
-    table grows by length on demand, so a sweep over n builds it once.
+    table grows by length on demand, so a sweep over n builds it once and
+    reads each n with ``classes``.  ``kind`` and the top n are checked as
+    ``enumerate_dissections`` checks them; there is no cap, since a sweep
+    has held its range to the polygon cap before it builds the table.
     """
 
     def __init__(self, kind: str, modulus: int, n: int):
-        self.n, self._allowed = _cell_sizes(n, kind, n)
+        self.n, self._allowed = _cell_sizes(n, kind)
         self._modulus = modulus
         self._segments = {}  # by length
         self._starts = {}  # by length, then by the state's a: [(b, g, s, count)]
@@ -470,14 +473,3 @@ class _Counts:
             out[key] = out.get(key, 0) + m
         return sorted(out.items())
 
-
-def _count_states(n: int, kind: str, cap: int, counts: _Counts | None = None) -> list:
-    """Count the dissections of the n-gon of ``kind`` by class; see ``_Counts.classes``.
-
-    Checks the arguments as ``enumerate_dissections`` does.  Without
-    ``counts`` the classes are those of a fresh table mod 2, by the product
-    and sum of the parity quiddity.  A sweep passes its own table of
-    ``kind``, over Z or mod 2, and reads and grows it.
-    """
-    n, _ = _cell_sizes(n, kind, cap)
-    return (counts or _Counts(kind, _OVER_F2, n)).classes(n)

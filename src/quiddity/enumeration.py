@@ -12,7 +12,7 @@ matched against inverse suffix products, and the matches are sorted.
 ``theorem_sweep`` cross-checks the combinatorial characterizations at desk
 scale (dissections -> quiddities -> membership, and solutions ->
 realization -> round trip).  The forward sweeps do not list the
-dissections: ``_count_states`` counts them by class over one table per
+dissections: ``_Counts.classes`` counts them by class on one table per
 sweep, each class the product and entry sum of a quiddity: mod 2 for thm1i
 ({3,4} dissections and their parity quiddity) and over Z for thm2 and thm3
 (triangulations and 3d dissections and their cc quiddity).  Each of the
@@ -46,7 +46,6 @@ from .dissections import (
     _OVER_Z,
     _Counts,
     _check_cap,
-    _count_states,
     enumerate_dissections,
 )
 from .surgery import realize_dissection, realize_triangulation
@@ -223,6 +222,7 @@ def _check_sweep(
     if which in ("thm1ii", "remark"):
         met = [("mod-2", mod2_cap, n_hi)]
     else:
+        # the count takes no cap: the counted sweeps meet the polygon cap here
         met = [("polygon", polygon_cap, n_hi)]
     if which in ("thm2", "thm3"):
         met.append(("integer-search", int_cap, min(n_hi, converse_hi)))
@@ -298,7 +298,7 @@ def theorem_sweep(
 
     for n in range(start, n_hi + 1):
         if which in _COUNTED:
-            classes = _count_states(n, kind, polygon_cap, counts)
+            classes = counts.classes(n)
             checked += sum(count for _, count in classes)
             if which == "thm2":
                 failing = sum(

@@ -325,6 +325,14 @@ def test_parse_word_forms():
         parse_word("TX")
     with pytest.raises(ValueError):
         GroupWord(2, ("T",))
+    with pytest.raises(ValueError):
+        GroupWord(1, ("X",))
+
+
+@pytest.mark.parametrize("check", [is_gamma2_solution, as_int_seq, as_mod2_seq])
+def test_empty_sequence_is_rejected(check):
+    with pytest.raises(ValueError):
+        check(())
 
 
 def test_sequence_parsing_and_formatting():
@@ -343,6 +351,7 @@ def test_sequence_parsing_and_formatting():
 def test_rotation_helpers():
     assert rotate((1, 2, 3), 1) == (2, 3, 1)
     assert rotate((1, 2, 3), -1) == (3, 1, 2)
+    assert rotate((), 3) == ()
     assert set(rotations((0, 0, 1))) == {(0, 0, 1), (0, 1, 0), (1, 0, 0)}
     assert min_rotation((1, 1, 1, 0, 0)) == (0, 0, 1, 1, 1)
     assert dihedral_min((0, 1, 1)) == (0, 1, 1)

@@ -389,6 +389,13 @@ def test_realize_dot_takes_one_sequence(tmp_path, capsys):
     assert not dot.exists()
 
 
+def test_realize_dot_write_failure_leaves_stdout_empty(tmp_path, capsys):
+    dot = tmp_path / "missing" / "out.dot"
+    code, out, err = run(capsys, "realize", "1,1,1", "--dot", str(dot))
+    assert (code, out) == (2, "")
+    assert err.startswith("quiddity: ") and str(dot) in err
+
+
 def test_realize_geometry_without_dot_is_a_usage_error(capsys):
     assert run(capsys, "realize", "1,1,1", "--geometry", "circle") == (
         2, "", "quiddity: --geometry needs --dot\n"

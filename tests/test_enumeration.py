@@ -1,6 +1,7 @@
 """Solution enumeration, Jacobsthal counts, cyclic classes, and sweeps."""
 
 import itertools
+import math
 
 import pytest
 
@@ -18,7 +19,8 @@ from quiddity import (
     solutions_pm_identity,
     theorem_sweep,
 )
-from quiddity import enumeration
+from quiddity import dissections, enumeration
+from quiddity.algebra import _fold
 from quiddity.cli import main
 
 
@@ -102,6 +104,10 @@ def test_solutions_pm_identity_examples():
 
 def test_solutions_pm_identity_entry_cap():
     assert solutions_pm_identity(4, entry_cap=1) == []
+    with pytest.raises(ValueError):
+        solutions_pm_identity(4, entry_cap=0)
+    with pytest.raises(ValueError):
+        solutions_pm_identity(0)
     wide = solutions_pm_identity(4, entry_cap=3)
     assert ((1, 2, 1, 2), -1) in wide
     assert all(all(1 <= e <= 3 for e in s) for s, _ in wide)
@@ -156,6 +162,18 @@ def test_solution_report():
     assert report.class_reps == ((0, 0, 0, 0), (0, 1, 0, 1))
 
 
+@pytest.mark.parametrize("n", range(1, 17))
+def test_solution_report_class_count_is_burnside(n):
+    # a word fixed by the rotation by k is u^(n/g) for a word u of length
+    # g = gcd(k, n); the classes are the mean number of fixed solutions
+    def fixed(g):
+        return sum(_fold(u * (n // g), 2) == (1, 0, 0, 1) for u in itertools.product((0, 1), repeat=g))
+
+    total = sum(fixed(math.gcd(k, n)) for k in range(n))
+    assert total % n == 0
+    assert solution_report(n).class_count == total // n
+
+
 def test_caps():
     with pytest.raises(CapExceeded):
         solutions_gamma2(21)
@@ -185,8 +203,9 @@ def test_thm3_above_converse_hi_checks_products():
 
 
 def _patch_sweep_workers(monkeypatch, result):
-    for name in ("enumerate_dissections", "_count_states", "solutions_gamma2", "solutions_pm_identity"):
+    for name in ("enumerate_dissections", "solutions_gamma2", "solutions_pm_identity"):
         monkeypatch.setattr(enumeration, name, result)
+    monkeypatch.setattr(dissections._Counts, "classes", result)
 
 
 def _never_called(*args, **kwargs):

@@ -4,7 +4,7 @@
 diagonals, ``quiddity_cc`` (1 + the diagonal degrees) and
 ``quiddity_mod2``.  These tests pin all three for every kind, and the
 sweep and CLI outputs built on them.  thm1i, thm2 and thm3 decide by the
-count of ``_count_states`` and list the stream only to name counterexamples
+count of ``_Counts.classes`` and list the stream only to name counterexamples
 (and, for thm2 and thm3, to collect the quiddities of their converse), so
 the count is pinned to the stream too.
 """
@@ -25,7 +25,7 @@ from quiddity import (
 from quiddity import dissections, enumeration
 from quiddity.algebra import _fold
 from quiddity.cli import main
-from quiddity.dissections import _count_states
+from quiddity.dissections import _OVER_F2, _Counts
 
 KINDS = ("all", "triangulation", "34", "3d")
 
@@ -127,7 +127,7 @@ def test_sweep_past_the_default_polygon_cap_is_a_usage_error(capsys, default_cap
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n", range(3, 12))
 def test_count_total_is_the_enumeration_length(n, kind):
-    total = sum(count for _, count in _count_states(n, kind, n))
+    total = sum(count for _, count in _Counts(kind, _OVER_F2, n).classes(n))
     assert total == sum(1 for _ in enumerate_dissections(n, kind))
 
 
@@ -138,20 +138,20 @@ def test_count_classes_are_the_walk_histogram(n):
         q = d.quiddity_mod2()
         key = _fold(q, 2), sum(q) % 2
         want[key] = want.get(key, 0) + 1
-    assert _count_states(n, "34", n) == sorted(want.items())
+    assert _Counts("34", _OVER_F2, n).classes(n) == sorted(want.items())
 
 
 @pytest.mark.parametrize("args, error", [
     ((2, "34", 12), dissections.DissectionError),
-    ((13, "34", 12), dissections.CapExceeded),
     ((5, "45", 12), ValueError),
     ((5.0, "34", 12), TypeError),
 ])
 def test_count_checks_its_arguments_as_the_walk_does(args, error):
     with pytest.raises(error) as walked:
         next(enumerate_dissections(*args))
+    n, kind, _ = args
     with pytest.raises(error) as counted:
-        _count_states(*args)
+        _Counts(kind, _OVER_F2, n).classes(n)
     assert str(counted.value) == str(walked.value)
 
 
@@ -172,9 +172,8 @@ def test_thm1i_names_the_failing_sets_when_pentagons_are_admitted(monkeypatch):
 
 def test_thm1i_reports_a_counted_failure_the_walk_cannot_name(monkeypatch):
     # one extra dissection in the class of 0,0,0, whose product is S != Id mod 2
-    monkeypatch.setattr(
-        enumeration, "_count_states", lambda *args: [*_count_states(*args), (((0, 1, 1, 0), 0), 1)]
-    )
+    classes = _Counts.classes
+    monkeypatch.setattr(_Counts, "classes", lambda self, n: [*classes(self, n), (((0, 1, 1, 0), 0), 1)])
     report = theorem_sweep("thm1i", 6, 6)
     assert not report.ok
     assert report.checked == 39
@@ -187,10 +186,12 @@ def test_thm1i_reports_a_counted_failure_the_walk_cannot_name(monkeypatch):
     ("thm3", "3d", ((2, 1, 1, 1), 0)),
 ])
 def test_thm2_and_thm3_report_a_counted_failure_the_walk_cannot_name(monkeypatch, which, kind, extra):
-    def counted(*args):
-        return [*_count_states(*args), (extra, 1)]
+    classes = _Counts.classes
 
-    monkeypatch.setattr(enumeration, "_count_states", counted)
+    def counted(self, n):
+        return [*classes(self, n), (extra, 1)]
+
+    monkeypatch.setattr(_Counts, "classes", counted)
     report = theorem_sweep(which, 9, 9)
     assert report.checked == sum(1 for _ in enumerate_dissections(9, kind, 9)) + 1
     assert report.counterexamples == ("n=9: 1 dissections counted as failing, 0 found",)
