@@ -5,6 +5,12 @@ Exit codes: 0 when the computation succeeds and any verdict is positive,
 solution, frieze construction failure, sweep counterexample), 2 for usage,
 parse, validation, or cap errors.
 
+Each ``_cmd_*`` is a generator of ``(record, render, ok)`` results: the JSON
+object, a function returning the text form, and the verdict.  ``main`` alone
+prints them, each before the next is computed, and sets the exit code.  It
+lifts CPython's int-to-str digit limit only while it renders a result, as
+exact products of long words pass it; parsing input keeps the limit.
+
 Sequences are given inline as comma-separated entries, or as ``@path`` to
 process one sequence per line.  Enumeration caps can be raised or lowered
 with the environment variables QUIDDITY_MOD2_CAP, QUIDDITY_POLYGON_CAP,
@@ -72,17 +78,9 @@ def _sequences(arg: str) -> list[str]:
     return texts
 
 
-def _emit(data: dict) -> None:
-    print(json.dumps(data))
-
-
 @contextlib.contextmanager
 def _all_digits():
-    """Lift CPython's int-to-str digit limit while exact results are printed.
-
-    The limit guards parsing, which keeps it; a product of a long word has
-    more digits than it allows.  Pythons without the limit need nothing.
-    """
+    """Lift CPython's int-to-str digit limit; Pythons without it need nothing."""
     get_limit = getattr(sys, "get_int_max_str_digits", None)
     if get_limit is None:
         yield
@@ -128,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--triangulation", action="store_true", help="build a triangulation (needs an odd entry)")
     p.add_argument("--dot", metavar="PATH", help="also write a DOT rendering (one sequence only)")
     p.add_argument("--geometry", choices=["circle"], help="pin DOT vertices to the unit circle")
-    p.set_defaults(run=_cmd_realize)
+    p.set_defaults(run=_cmd_realize, json=True)  # realize always prints JSON
 
     p = sub.add_parser("frieze", help="build and render the frieze of a quiddity")
     p.add_argument("sequence", help="comma-separated positive integers, or @file")
@@ -147,64 +145,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_check(args) -> int:
-    worst = 0
+def _mod_result(seq, n: int, verdict_key: str, **extra):
+    """One mod-N verdict; ``check --mod`` and ``check-mod2`` differ only in keys."""
+    m = m_product_mod(seq, n)
+    ok = m == Mat2Mod.identity(n)
+    record = {"schema": 1, "sequence": list(seq), **extra, "matrix": [[m.a, m.b], [m.c, m.d]], verdict_key: ok}
+    return record, lambda: f"M({format_seq(seq)}) mod {n} = {m}\n{'true' if ok else 'false'}", ok
+
+
+def _pm_result(seq):
+    m = m_product(seq)
+    verdict = classify_pm_identity(m)
+    record = {"schema": 1, "sequence": list(seq), "matrix": [[m.a, m.b], [m.c, m.d]], "verdict": verdict.value}
+    # str(m) may pass the int-to-str digit limit, which main lifts only to render
+    return record, lambda: f"M({format_seq(seq)}) = {m}\n{verdict.value}", verdict is not MatClass.OTHER
+
+
+def _cmd_check(args):
     for text in _sequences(args.sequence):
         seq = parse_int_seq(text)
-        if args.pm:
-            m = m_product(seq)
-            verdict = classify_pm_identity(m)
-            member = verdict is not MatClass.OTHER
-            with _all_digits():
-                if args.json:
-                    _emit({
-                        "schema": 1,
-                        "sequence": list(seq),
-                        "matrix": [[m.a, m.b], [m.c, m.d]],
-                        "verdict": verdict.value,
-                    })
-                else:
-                    print(f"M({format_seq(seq)}) = {m}")
-                    print(verdict.value)
-        else:
-            m = m_product_mod(seq, args.mod)
-            member = m == Mat2Mod.identity(args.mod)
-            if args.json:
-                _emit({
-                    "schema": 1,
-                    "sequence": list(seq),
-                    "modulus": args.mod,
-                    "matrix": [[m.a, m.b], [m.c, m.d]],
-                    "member": member,
-                })
-            else:
-                print(f"M({format_seq(seq)}) mod {args.mod} = {m}")
-                print("true" if member else "false")
-        worst = max(worst, 0 if member else 1)
-    return worst
+        yield _pm_result(seq) if args.pm else _mod_result(seq, args.mod, "member", modulus=args.mod)
 
 
-def _cmd_check_mod2(args) -> int:
-    worst = 0
+def _cmd_check_mod2(args):
     for text in _sequences(args.sequence):
-        seq = parse_mod2_seq(text)
-        m = m_product_mod(seq, 2)
-        solution = m == Mat2Mod.identity(2)
-        if args.json:
-            _emit({
-                "schema": 1,
-                "sequence": list(seq),
-                "matrix": [[m.a, m.b], [m.c, m.d]],
-                "solution": solution,
-            })
-        else:
-            print(f"M({format_seq(seq)}) mod 2 = {m}")
-            print("true" if solution else "false")
-        worst = max(worst, 0 if solution else 1)
-    return worst
+        yield _mod_result(parse_mod2_seq(text), 2, "solution")
 
 
-def _cmd_quiddity(args) -> int:
+def _cmd_quiddity(args):
     if args.dissection == "-":
         text = sys.stdin.read()
     else:
@@ -212,14 +180,10 @@ def _cmd_quiddity(args) -> int:
             text = handle.read()
     d = Dissection.from_json(text)
     seq = d.quiddity_cc() if args.cc else d.quiddity_mod2()
-    if args.json:
-        _emit({"schema": 1, "n": d.n, "quiddity": list(seq)})
-    else:
-        print(format_seq(seq))
-    return 0
+    yield {"schema": 1, "n": d.n, "quiddity": list(seq)}, lambda: format_seq(seq), True
 
 
-def _cmd_realize(args) -> int:
+def _cmd_realize(args):
     if args.geometry and not args.dot:
         raise ValueError("--geometry needs --dot")
     texts = _sequences(args.sequence)
@@ -232,25 +196,40 @@ def _cmd_realize(args) -> int:
         if args.dot:
             with open(args.dot, "w", encoding="utf-8") as handle:
                 handle.write(d.to_dot(geometry=args.geometry))
-        print(d.to_json())
-    return 0
+        yield d.to_json_dict(), d.to_json, True
 
 
-def _cmd_frieze(args) -> int:
-    texts = _sequences(args.sequence)
-    for pos, text in enumerate(texts):
-        seq = parse_int_seq(text)
-        pattern = build_frieze(seq)
-        if args.json:
-            _emit(frieze_to_json_dict(pattern))
-        else:
-            if pos:
-                print()
-            print(render_text(pattern), end="")
-    return 0
+def _cmd_frieze(args):
+    for pos, text in enumerate(_sequences(args.sequence)):
+        pattern = build_frieze(parse_int_seq(text))
+        # tables are separated by one blank line
+        yield frieze_to_json_dict(pattern), lambda: "\n" * (pos > 0) + render_text(pattern).rstrip("\n"), True
 
 
-def _cmd_enumerate(args) -> int:
+def _sweeps_text(results) -> str:
+    lines = []
+    for r in results:
+        lines.append(
+            f"sweep={r.which} range={r.n_lo}..{r.n_hi} "
+            f"checked={r.checked} counterexamples={len(r.counterexamples)}"
+        )
+        lines += (f"  {line}" for line in r.counterexamples)
+    return "\n".join(lines)
+
+
+def _report_text(report, args) -> str:
+    lines = [
+        f"n={report.n} tuples={report.tuple_count} "
+        f"expected={report.expected_count} match={'true' if report.match else 'false'}"
+    ]
+    if args.classes:
+        lines += [f"classes={report.class_count}", *map(format_seq, report.class_reps)]
+    if args.tuples:
+        lines += map(format_seq, report.tuples)
+    return "\n".join(lines)
+
+
+def _cmd_enumerate(args):
     if args.sweep:
         if args.classes or args.tuples or args.verify_jacobsthal:
             raise ValueError("--sweep cannot be combined with --classes, --tuples or --verify-jacobsthal")
@@ -259,59 +238,28 @@ def _cmd_enumerate(args) -> int:
         for which in _SWEEPS[args.sweep]:
             _check_sweep(which, 3, args.n, **caps)
         results = [theorem_sweep(which, 3, args.n, **caps) for which in _SWEEPS[args.sweep]]
-        if args.json:
-            _emit({
-                "schema": 1,
-                "sweeps": [
-                    {
-                        "which": r.which,
-                        "range": [r.n_lo, r.n_hi],
-                        "checked": r.checked,
-                        "counterexamples": list(r.counterexamples),
-                    }
-                    for r in results
-                ],
-            })
-        else:
-            for r in results:
-                print(
-                    f"sweep={r.which} range={r.n_lo}..{r.n_hi} "
-                    f"checked={r.checked} counterexamples={len(r.counterexamples)}"
-                )
-                for line in r.counterexamples:
-                    print(f"  {line}")
-        return 0 if all(r.ok for r in results) else 1
+        sweeps = [
+            {"which": r.which, "range": [r.n_lo, r.n_hi], "checked": r.checked,
+             "counterexamples": list(r.counterexamples)}
+            for r in results
+        ]
+        yield {"schema": 1, "sweeps": sweeps}, lambda: _sweeps_text(results), all(r.ok for r in results)
+        return
 
     report = solution_report(args.n, cap=args.mod2_cap)
-    if args.json:
-        data = {
-            "schema": 1,
-            "n": report.n,
-            "tuples": report.tuple_count,
-            "expected": report.expected_count,
-            "match": report.match,
-            "classes": report.class_count,
-        }
-        if args.tuples:
-            data["solutions"] = [list(t) for t in report.tuples]
-        if args.classes:
-            data["class_representatives"] = [list(t) for t in report.class_reps]
-        _emit(data)
-    else:
-        print(
-            f"n={report.n} tuples={report.tuple_count} "
-            f"expected={report.expected_count} match={'true' if report.match else 'false'}"
-        )
-        if args.classes:
-            print(f"classes={report.class_count}")
-            for rep in report.class_reps:
-                print(format_seq(rep))
-        if args.tuples:
-            for t in report.tuples:
-                print(format_seq(t))
-    if args.verify_jacobsthal and not report.match:
-        return 1
-    return 0
+    record = {
+        "schema": 1,
+        "n": report.n,
+        "tuples": report.tuple_count,
+        "expected": report.expected_count,
+        "match": report.match,
+        "classes": report.class_count,
+    }
+    if args.tuples:
+        record["solutions"] = [list(t) for t in report.tuples]
+    if args.classes:
+        record["class_representatives"] = [list(t) for t in report.class_reps]
+    yield record, lambda: _report_text(report, args), report.match or not args.verify_jacobsthal
 
 
 def main(argv=None) -> int:
@@ -325,7 +273,12 @@ def main(argv=None) -> int:
         args.mod2_cap = _env_cap("QUIDDITY_MOD2_CAP", DEFAULT_MOD2_CAP)
         args.polygon_cap = _env_cap("QUIDDITY_POLYGON_CAP", DEFAULT_POLYGON_CAP)
         args.int_cap = _env_cap("QUIDDITY_INT_CAP", DEFAULT_INT_CAP)
-        return args.run(args)
+        ok = True
+        for record, render, verdict in args.run(args):
+            with _all_digits():
+                print(json.dumps(record) if args.json else render())
+            ok = ok and verdict
+        return 0 if ok else 1
     except (NotASolution, AllEven, FriezeError) as exc:
         print(f"quiddity: {exc}", file=sys.stderr)
         return 1

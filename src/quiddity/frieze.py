@@ -9,10 +9,12 @@ with the quiddity, and each later entry by the diamond rule
 
     south = (west * east - 1) / north,
 
-failing with a structured error on a non-positive or non-integral entry or
-a last row that is not all ones.  Such failures witness that the input is
-not the quiddity of a triangulation; for genuine quiddities the divisions
-are exact by construction.
+failing with a structured error on a non-positive entry or a last row that
+is not all ones.  Such failures witness that the input is not the quiddity
+of a triangulation.  Every division is exact: the entries are the
+continuants K(i..j) of runs c_i, ..., c_j of the quiddity, and the
+Desnanot-Jacobi identity K(i..j) K(i+1..j+1) - K(i..j+1) K(i+1..j) = 1 is
+the diamond rule, so a positive north always divides west * east - 1.
 """
 
 from dataclasses import dataclass
@@ -26,7 +28,6 @@ from .algebra import (
 
 __all__ = [
     "FriezeError",
-    "NonIntegralEntry",
     "NonPositiveEntry",
     "BorderViolation",
     "DiamondViolation",
@@ -47,11 +48,6 @@ class FriezeError(ValueError):
         self.row = row
         self.pos = pos
         super().__init__(message)
-
-
-class NonIntegralEntry(FriezeError):
-    def __init__(self, row: int, pos: int):
-        super().__init__(f"diamond rule gives a non-integral entry at row {row}, position {pos}", row, pos)
 
 
 class NonPositiveEntry(FriezeError):
@@ -91,9 +87,8 @@ def build_frieze(quiddity) -> FriezePattern:
         new = []
         for k in range(n):
             north = prev[(k + 1) % n]  # positive, as every stored entry is
-            value, rem = divmod(cur[k] * cur[(k + 1) % n] - 1, north)
-            if rem:
-                raise NonIntegralEntry(r, k + 1)
+            # exact: entries are continuants, and Desnanot-Jacobi is this rule
+            value = (cur[k] * cur[(k + 1) % n] - 1) // north
             if value <= 0:
                 raise NonPositiveEntry(r, k + 1, value)
             new.append(value)

@@ -1,10 +1,14 @@
 """CLI behavior: verdicts, exit codes, formats, and file round trips."""
 
+import contextlib
+import io
 import json
 import random
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quiddity import Dissection, MatClass, format_seq, in_principal_congruence, m_product
 from quiddity import enumeration
@@ -477,3 +481,70 @@ def test_check_pm_prints_a_long_product_in_full(tmp_path, capsys):
     assert data["verdict"] == "Other"
     assert data["sequence"] == seq
     assert data["matrix"] == [[m.a, m.b], [m.c, m.d]]
+
+
+def test_verify_jacobsthal_exits_1_when_the_enumeration_misses_a_tuple(capsys, monkeypatch):
+    # the closed form guards against a faulty enumerator
+    real = enumeration.solutions_gamma2
+    monkeypatch.setattr(enumeration, "solutions_gamma2", lambda *args, **kwargs: real(*args, **kwargs)[1:])
+    code, out, err = run(capsys, "enumerate", "6", "--verify-jacobsthal")
+    assert (code, err) == (1, "")
+    assert out == "n=6 tuples=10 expected=11 match=false\n"
+    code, out, err = run(capsys, "enumerate", "6", "--verify-jacobsthal", "--json")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["match"] is False
+    # without the flag a mismatch is reported, not a verdict
+    assert run(capsys, "enumerate", "6") == (0, "n=6 tuples=10 expected=11 match=false\n", "")
+
+
+_SEQUENCE_TEXTS = st.text(alphabet="0123456789,-+x. ", max_size=12)
+
+_SWEEP_FLAGS = [f"--sweep={name}" for name in ("all", "thm1", "thm1i", "thm1ii", "thm2", "thm3")]
+_ARGVS = st.one_of(
+    st.tuples(st.just("check"), _SEQUENCE_TEXTS, st.sampled_from([["--pm"], ["--mod", "0"], ["--mod", "2"], ["--mod", "7"]])),
+    st.tuples(st.just("check-mod2"), _SEQUENCE_TEXTS, st.just([])),
+    st.tuples(st.just("realize"), _SEQUENCE_TEXTS, st.sampled_from([[], ["--triangulation"]])),
+    st.tuples(st.just("frieze"), _SEQUENCE_TEXTS, st.just([])),
+    st.tuples(
+        st.just("enumerate"),
+        st.integers(-2, 8).map(str),
+        st.lists(st.sampled_from(["--classes", "--tuples", "--verify-jacobsthal", *_SWEEP_FLAGS]), max_size=3),
+    ),
+).map(lambda parts: [parts[0], parts[1], *parts[2]])
+
+# fixed alphabets keep hypothesis from building its unicode tables
+_JSON_KEYS = st.sampled_from(["n", "diagonals", "schema"]) | st.text(alphabet="nd\\\"\u00e9", max_size=3)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 40) | st.floats() | _JSON_KEYS,
+    lambda children: st.lists(children, max_size=5) | st.dictionaries(_JSON_KEYS, children, max_size=4),
+    max_leaves=12,
+)
+_DISSECTION_TEXTS = st.one_of(
+    st.text(alphabet='{}[]",:0123456789.-+eE truefalsnNI\\', max_size=20),
+    _JSON_VALUES.map(json.dumps),
+    st.fixed_dictionaries(
+        {"n": _JSON_VALUES, "diagonals": st.lists(st.lists(st.integers(-1, 9), max_size=3), max_size=5)},
+        optional={"schema": st.sampled_from([1, 2, "1", True])},
+    ).map(json.dumps),
+)
+
+
+def _quiet_main(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ARGVS, st.booleans())
+def test_every_subcommand_exits_by_the_contract(argv, as_json):
+    # realize has no --json flag: it always prints JSON
+    if as_json and argv[0] != "realize":
+        argv = [*argv, "--json"]
+    assert _quiet_main(argv) in (0, 1, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_DISSECTION_TEXTS)
+def test_quiddity_command_exits_0_or_2_on_any_stdin(text):
+    with mock.patch("sys.stdin", io.StringIO(text)):
+        assert _quiet_main(["quiddity", "-", "--cc"]) in (0, 2)

@@ -1,6 +1,7 @@
 """Frieze construction, validation, and the total-positivity boundary."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -150,3 +151,44 @@ def test_validate_frieze_rejects_a_row_of_the_wrong_length():
     with pytest.raises(FriezeError, match="row 2 has period 3, expected 4") as err:
         validate_frieze(pattern)
     assert err.value.row == 2
+
+
+def _rational_rows(q):
+    """Rows by the diamond rule over the rationals, up to the first non-positive entry.
+
+    Returns the rows and the first non-positive entry as (row, pos, value),
+    or None; every entry computed is checked to be an integer on the way.
+    """
+    n = len(q)
+    rows = [(1,) * n, q]
+    while len(rows) < n - 1:
+        prev, cur = rows[-2], rows[-1]
+        new = []
+        for k in range(n):
+            value = Fraction(cur[k] * cur[(k + 1) % n] - 1, prev[(k + 1) % n])
+            assert value.denominator == 1, (q, len(rows) + 1, k + 1, value)
+            if value <= 0:
+                return rows, (len(rows) + 1, k + 1, int(value))
+            new.append(int(value))
+        rows.append(tuple(new))
+    return rows, None
+
+
+def test_diamond_division_is_exact_on_every_small_sequence():
+    # the entries are continuants, so Desnanot-Jacobi makes every division
+    # exact; build_frieze divides with // and has no remainder check
+    seen = 0
+    for n in range(3, 8):
+        for q in itertools.product(range(1, 5), repeat=n):
+            seen += 1
+            rows, bad = _rational_rows(q)
+            if bad is not None:
+                with pytest.raises(NonPositiveEntry) as err:
+                    build_frieze(q)
+                assert (err.value.row, err.value.pos, err.value.value) == bad
+            elif any(value != 1 for value in rows[-1]):
+                with pytest.raises(BorderViolation):
+                    build_frieze(q)
+            else:
+                assert build_frieze(q).rows == tuple(rows)
+    assert seen == 21_824
