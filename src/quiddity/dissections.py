@@ -98,7 +98,7 @@ def _crosses(p: tuple[int, int], q: tuple[int, int]) -> bool:
 class Dissection:
     """A convex n-gon with a set of pairwise non-crossing diagonals."""
 
-    __slots__ = ("_n", "_diagonals")
+    __slots__ = ("_n", "_diagonals", "_cells")
 
     def __init__(self, n: int, diagonals=(), check: bool = True):
         if type(n) is not int:
@@ -113,6 +113,19 @@ class Dissection:
         self._diagonals = tuple(sorted(pairs))
         if check:
             self.validate()
+
+    @classmethod
+    def _trusted(cls, n: int, diagonals: tuple[tuple[int, int], ...]) -> "Dissection":
+        """Take sorted int pairs (i, j), i < j, skipping ``__init__``'s checks; validate once.
+
+        A repeat crosses nothing, so ``validate`` passes it: the pairs must strictly increase.
+        """
+        self = cls.__new__(cls)
+        self._n, self._diagonals = n, diagonals
+        if any(map(operator.ge, diagonals, diagonals[1:])):
+            raise DissectionError("diagonals must be strictly increasing, with no repeat")
+        self.validate()
+        return self
 
     @property
     def n(self) -> int:
@@ -186,8 +199,11 @@ class Dissection:
         (1, n).  ``nxt[v]`` is the next vertex after v on the part of the
         polygon not yet cut off, so diagonal (i, j) cuts off the cell
         reached from i along ``nxt`` up to j and then sets ``nxt[i] = j``.
-        ``nxt[v] > v`` always holds, so the walk ends on any input.
+        ``nxt[v] > v`` always holds, so the walk ends on any input.  The
+        walk runs once per object; later calls return the same tuple.
         """
+        if hasattr(self, "_cells"):
+            return self._cells
         n = self._n
         nxt = list(range(1, n + 2))
         out = []
@@ -198,7 +214,8 @@ class Dissection:
             nxt[i] = j
             out.append(tuple(cell))
         out.sort()
-        return tuple(out)
+        self._cells = tuple(out)
+        return self._cells
 
     def classify(self) -> DissectionFlags:
         """Cell-size flags: all triangles / all in {3,4} / all multiples of 3."""

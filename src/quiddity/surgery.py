@@ -23,11 +23,14 @@ Both halves are linear in practice.  ``_reduce`` edits one list with a
 scan pointer: removing the smallest 1 at index i can create a new 1 only
 at index i - 1, or at 0 when the pivot was last.  ``_glue`` keeps the
 polygon as a cyclic list of stable vertex ids, so labels are assigned
-once at the end, and the finished dissection is validated once: every
-intermediate polygon is a sub-dissection of it.  Both lists are kept
-reversed, so a delete or insert at index i of the sequence moves the i
-entries before it rather than the n - i after it; the pivot rule keeps i
-small.  Step indices count 1-based from the start of the sequence.
+once at the end, by a list indexed by id.  The glued edges become
+(min, max) label pairs, sorted once, and ``Dissection._trusted`` takes
+them without the per-pair checks of ``Dissection(...)`` and validates the
+finished dissection once: every intermediate polygon is a sub-dissection
+of it.  Both lists are kept reversed, so a delete or insert at index i
+of the sequence moves the i entries before it rather than the n - i
+after it; the pivot rule keeps i small.  Step indices count 1-based from
+the start of the sequence.
 
 Matrix invariance of ``alpha``/``op_a`` is a local two-factor identity, so
 it holds for insertion positions 1 <= i <= n-1; at the wrap position i = n
@@ -406,7 +409,9 @@ def _realize(seq, triangulate: bool) -> Dissection:
 
     A triangulation reduces with ``keep_odd``, so ``is_gamma2_solution``
     decides first; only a non-solution runs the smallest-1 reduction, whose
-    remainder ``NotASolution`` names.
+    remainder ``NotASolution`` names.  The glued edges go to
+    ``Dissection._trusted`` as sorted (min, max) label pairs; its one
+    ``validate`` checks the whole result.
     """
     s = as_mod2_seq(seq)
     if len(s) < 3:
@@ -427,8 +432,12 @@ def _realize(seq, triangulate: bool) -> Dissection:
     # all-zero quadruple, so its replay is the quadrilateral itself
     n0, steps = (3, steps) if base == (1, 1, 1) else (4, steps[:-1])
     order, edges = _glue(n0, reversed(steps))
-    label = {v: position for position, v in enumerate(order, 1)}
-    return Dissection(len(order), [(label[a], label[b]) for a, b in edges])
+    label = [0] * len(order)
+    for position, v in enumerate(order, 1):
+        label[v] = position
+    pairs = [(i, j) if (i := label[a]) < (j := label[b]) else (j, i) for a, b in edges]
+    pairs.sort()
+    return Dissection._trusted(len(order), tuple(pairs))
 
 
 def realize_dissection(seq) -> Dissection:

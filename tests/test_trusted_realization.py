@@ -1,0 +1,143 @@
+"""Realization builds its ``Dissection`` through the trusted constructor.
+
+The realized object must be the one the checked constructor builds, and
+the single ``validate`` plus the strictly-increasing check must catch a
+faulty ``_glue``.  Also: ``cells`` walks once per object.
+"""
+
+import pytest
+
+from quiddity import dissections, surgery
+from quiddity import Dissection, realize_dissection, realize_triangulation, solutions_gamma2
+from quiddity.dissections import CrossingDiagonals, DissectionError, SideAsDiagonal
+
+REALIZERS = [realize_dissection, realize_triangulation]
+
+
+def _realizations(realize, n_hi):
+    for n in range(3, n_hi + 1):
+        for s in solutions_gamma2(n):
+            if realize is realize_dissection or 1 in s:
+                yield s, realize(s)
+
+
+@pytest.mark.parametrize("realize", REALIZERS)
+def test_realized_object_is_the_checked_one(realize):
+    count = 0
+    for s, d in _realizations(realize, 12):
+        checked = Dissection(d.n, d.diagonals)
+        assert d == checked and checked == d, s
+        assert hash(d) == hash(checked), s
+        assert repr(d) == repr(checked), s
+        assert type(d.diagonals) is tuple
+        assert all(type(p) is tuple and len(p) == 2 for p in d.diagonals), s
+        assert all(type(x) is int for p in d.diagonals for x in p), s
+        assert list(d.diagonals) == sorted(set(d.diagonals)), s
+        assert type(d.n) is int and d.n == len(s)
+        count += 1
+    assert count > 1000
+
+
+@pytest.mark.parametrize("realize", REALIZERS)
+def test_each_realization_validates_once_and_never_runs_init(realize, monkeypatch):
+    validated, built = [], []
+    validate, init = Dissection.validate, Dissection.__init__
+
+    def counted_validate(self):
+        validated.append(self)
+        return validate(self)
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        return init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Dissection, "validate", counted_validate)
+    monkeypatch.setattr(Dissection, "__init__", counted_init)
+    for s, d in _realizations(realize, 10):
+        assert validated == [d], s
+        assert built == [], s
+        validated.clear()
+
+
+# the last solution of length 9 with an odd entry, realized with several diagonals
+SEQ = next(s for s in reversed(solutions_gamma2(9)) if 1 in s)
+
+
+def _mutant_glue(monkeypatch, extra):
+    """Replace ``_glue`` by one that adds ``extra(order, edges)`` to its edges."""
+    glue = surgery._glue
+
+    def mutant(base_len, steps):
+        order, edges = glue(base_len, steps)
+        return order, edges + extra(order, edges)
+
+    monkeypatch.setattr(surgery, "_glue", mutant)
+
+
+def _a_crossing_edge(order, edges):
+    """Vertex ids of the first chord, by label, that crosses a glued edge."""
+    m = len(order)
+    labeled = [tuple(sorted((order.index(a) + 1, order.index(b) + 1))) for a, b in edges]
+    for i in range(1, m + 1):
+        for j in range(i + 2, m + 1):
+            if any(a < i < b < j or i < a < j < b for a, b in labeled):
+                return [(order[i - 1], order[j - 1])]
+    raise AssertionError("no crossing chord")
+
+
+MUTANTS = {
+    "repeat": (lambda order, edges: [edges[-1]], DissectionError),
+    "reversed repeat": (lambda order, edges: [edges[0][::-1]], DissectionError),
+    "crossing": (_a_crossing_edge, CrossingDiagonals),
+    "side": (lambda order, edges: [(order[0], order[1])], SideAsDiagonal),
+    "closing side": (lambda order, edges: [(order[-1], order[0])], SideAsDiagonal),
+}
+
+
+@pytest.mark.parametrize("realize", REALIZERS)
+@pytest.mark.parametrize("name", MUTANTS)
+def test_a_faulty_glue_raises_instead_of_returning(realize, name, monkeypatch):
+    assert len(realize(SEQ).diagonals) >= 3
+    extra, error = MUTANTS[name]
+    _mutant_glue(monkeypatch, extra)
+    with pytest.raises(error):
+        realize(SEQ)
+
+
+@pytest.mark.parametrize("diagonals", [
+    ((1, 3), (1, 3)),
+    ((1, 4), (1, 3)),
+    ((2, 4), (1, 3), (1, 4)),
+])
+def test_trusted_constructor_rejects_pairs_that_do_not_strictly_increase(diagonals):
+    with pytest.raises(DissectionError):
+        Dissection._trusted(6, diagonals)
+
+
+def test_trusted_constructor_validates():
+    assert Dissection._trusted(6, ((1, 3), (1, 4))) == Dissection(6, [(4, 1), (1, 3)])
+    with pytest.raises(CrossingDiagonals):
+        Dissection._trusted(6, ((1, 4), (2, 5)))
+    with pytest.raises(SideAsDiagonal):
+        Dissection._trusted(6, ((1, 2),))
+
+
+def test_cells_walks_once_and_leaves_identity_alone(monkeypatch):
+    d = realize_dissection(SEQ)
+    fresh = Dissection(d.n, d.diagonals)
+    walks = []
+
+    def counted_sorted(*args, **kwargs):  # the walk sorts the diagonals by span, once
+        walks.append(args)
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(dissections, "sorted", counted_sorted, raising=False)
+    assert d.classify().is_34 and d.quiddity_mod2() == SEQ
+    assert len(walks) == 1
+    cells = d.cells()
+    assert d.cells() is cells
+    assert d.classify() == fresh.classify()
+    assert d.quiddity_mod2() == fresh.quiddity_mod2() == SEQ
+    assert d.cells() is cells
+    assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh)
+    assert len({d, fresh}) == 1
