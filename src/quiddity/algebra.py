@@ -334,7 +334,7 @@ def as_int_seq(entries) -> IntSeq:
     seq = tuple(map(operator.index, entries))
     if not seq:
         raise ValueError("sequence must be nonempty")
-    if any(e < 1 for e in seq):
+    if min(seq) < 1:
         raise ValueError(f"entries must be positive integers, got {seq}")
     return seq
 
@@ -344,7 +344,7 @@ def as_mod2_seq(entries) -> Mod2Seq:
     seq = tuple(map(operator.index, entries))
     if not seq:
         raise ValueError("sequence must be nonempty")
-    if any(e not in (0, 1) for e in seq):
+    if not {0, 1}.issuperset(seq):
         raise ValueError(f"entries must be 0 or 1, got {seq}")
     return seq
 

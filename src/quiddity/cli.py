@@ -14,7 +14,7 @@ exact products of long words pass it; parsing input keeps the limit.
 Sequences are given inline as comma-separated entries, or as ``@path`` to
 process one sequence per line.  Enumeration caps can be raised or lowered
 with the environment variables QUIDDITY_MOD2_CAP, QUIDDITY_POLYGON_CAP,
-and QUIDDITY_INT_CAP.
+QUIDDITY_INT_CAP and QUIDDITY_COUNT_CAP.
 """
 
 import argparse
@@ -35,6 +35,7 @@ from .algebra import (
 )
 from .dissections import DEFAULT_POLYGON_CAP, Dissection
 from .enumeration import (
+    DEFAULT_COUNT_CAP,
     DEFAULT_INT_CAP,
     DEFAULT_MOD2_CAP,
     SWEEP_NAMES,
@@ -233,7 +234,7 @@ def _cmd_enumerate(args):
     if args.sweep:
         if args.classes or args.tuples or args.verify_jacobsthal:
             raise ValueError("--sweep cannot be combined with --classes, --tuples or --verify-jacobsthal")
-        caps = {"polygon_cap": args.polygon_cap, "mod2_cap": args.mod2_cap, "int_cap": args.int_cap}
+        caps = {cap: getattr(args, cap) for cap in ("polygon_cap", "mod2_cap", "int_cap", "count_cap")}
         # every chosen sweep's range and caps before the first one runs
         for which in _SWEEPS[args.sweep]:
             _check_sweep(which, 3, args.n, **caps)
@@ -273,6 +274,7 @@ def main(argv=None) -> int:
         args.mod2_cap = _env_cap("QUIDDITY_MOD2_CAP", DEFAULT_MOD2_CAP)
         args.polygon_cap = _env_cap("QUIDDITY_POLYGON_CAP", DEFAULT_POLYGON_CAP)
         args.int_cap = _env_cap("QUIDDITY_INT_CAP", DEFAULT_INT_CAP)
+        args.count_cap = _env_cap("QUIDDITY_COUNT_CAP", DEFAULT_COUNT_CAP)
         ok = True
         for record, render, verdict in args.run(args):
             with _all_digits():

@@ -13,9 +13,10 @@ counts the cells meeting each vertex (one more than the number of
 diagonals there), ``quiddity_mod2`` the parity of the number of triangle
 cells meeting each vertex.
 One count engine, ``_Counts``, sorts the dissections of a kind into
-classes without listing them, by dynamic programming over the root cell of
-each segment: by the product and the entry sum of their cc quiddity over
-Z, or of their parity quiddity mod 2.
+classes without listing them, by the product and the entry sum of their cc
+quiddity over Z, or of their parity quiddity mod 2: a dynamic program over
+the root cell of each segment, keyed by the product and sum of the polygon
+the segment cuts off, of which each theorem allows one product.
 """
 
 import json
@@ -396,63 +397,52 @@ def _reduced(g: tuple, s: int, p: int) -> tuple:
 class _Counts:
     """The count's table of segment states by length, for one kind over Z or mod 2.
 
-    A segment i..j closed by the chord (i, j), or by the side (1, n), has
-    the state (a, b, g, s): what its cells add at i and at j, and the
-    product g, an int 4-tuple, and the sum s of its interior entries, which
-    no cell outside it touches.  The modulus picks the quiddity: over Z
-    (``_OVER_Z``) every cell adds 1 at each of its corners, as in the cc
-    quiddity; mod 2 (``_OVER_F2``) only a triangle does, as in the parity
-    quiddity, and every value is reduced mod 2.  A segment of length 1 is a
-    side, (0, 0, Id, 0).  A longer one is a root cell, whose corners i =
-    u_0 < ... < u_t = j split it into t shorter segments (Flajolet-
-    Sedgewick's decomposition of polygon dissections by root cell).
-    Joining them left to right puts E(b_k + a_{k+1} + w) between the
-    products of neighbours, w being what the cell adds at a corner, and
-    closing the cell adds w at i and at j.  Segments depend only on their
-    length, so one table by length, up to n - 1, serves every polygon up to
-    the n-gon, whose segment 1..n has the entries a and b at its ends.  The
-    table grows by length on demand, so a sweep over n builds it once and
-    reads each n with ``classes``.  ``kind`` and the top n are checked as
-    ``enumerate_dissections`` checks them; there is no cap, since a sweep
-    has held its range to the polygon cap before it builds the table.
+    A segment i..j, closed by the chord (i, j) or by the side (1, n), cuts
+    off a polygon dissected by the cells inside it.  Its state is the
+    product h, an int 4-tuple, and the sum s of that polygon's quiddity:
+    over Z (``_OVER_Z``) the cc quiddity, where every cell adds w = 1 at
+    each corner; mod 2 (``_OVER_F2``) the parity quiddity, where a triangle
+    adds w = 1 and any other cell w = 0, and every value is reduced mod 2.
+    A side is (E(0) E(0) = -Id, 0).  A longer segment is a root cell whose
+    corners i = u_0 < ... < u_t = j split it into t shorter segments
+    (Flajolet-Sedgewick's decomposition by root cell).  With E(c) = T^c S,
+    E(x + w) E(x)^-1 = T^w takes what the cell adds at a corner out of the
+    entry there, so the cell closes to T^w h_1 S^-1 T^w h_2 ... S^-1 T^w
+    h_t S^-1 T^w S, with the parts' sums plus (t + 1) w.  A run of t parts
+    is kept as h_1 S^-1 T^w ... h_t.  Segments depend only on their length,
+    so one table by length, grown on demand, serves every polygon up to the
+    n-gon, whose class is the state of its segment 1..n.  ``kind`` and n
+    are checked as ``enumerate_dissections`` checks them; the sweeps hold n
+    to their count cap.  ``tests/seed_counts.py`` keeps the open-state
+    engine this one replaced, and ``tests/test_count_differential.py``
+    compares the two.
     """
 
     def __init__(self, kind: str, modulus: int, n: int):
         self.n, self._allowed = _cell_sizes(n, kind)
         self._modulus = modulus
-        self._segments = {}  # by length
-        self._starts = {}  # by length, then by the state's a: [(b, g, s, count)]
-        self._add_segments({(0, 0, (1, 0, 0, 1), 0): 1})
+        self._segments = {1: {_reduced((-1, 0, 0, -1), 0, modulus): 1}}  # by length: {(h, s): count}
         # runs[t][length]: t segments side by side under a cell of 4 or more
         # corners, for t up to the largest such cell's ``most`` segments
         self._runs = {1: self._segments}
         largest = max(self._allowed)
         self._most = largest - 1 if largest > 3 else 1
 
-    def _add_segments(self, states: dict) -> None:
-        length = len(self._segments) + 1
-        self._segments[length] = states
-        self._starts[length] = starts = {}
-        for (a, b, g, s), m in states.items():
-            starts.setdefault(a, []).append((b, g, s, m))
-
     def _join(self, left: dict, x: int, w: int, out: dict) -> None:
-        """Add each run of ``left`` followed by each segment of length x to ``out``."""
+        """Add each run of ``left`` times S^-1 T^w times each segment of length x to ``out``."""
         p = self._modulus
-        starts = self._starts[x].items()
-        for (a0, b, g, s), m in left.items():
-            for a, segments in starts:
-                c = b + w + a
-                gc, sc = _mul(g, (c, -1, 1, 0)), s + c
-                for b2, h, t, k in segments:
-                    key = a0, b2, *_reduced(_mul(gc, h), sc + t, p)
-                    out[key] = out.get(key, 0) + m * k
+        segments = self._segments[x].items()
+        for (g, s), m in left.items():
+            g, s = _mul(g, (0, 1, -1, -w)), s + w
+            for (h, t), k in segments:
+                key = _reduced(_mul(g, h), s + t, p)
+                out[key] = out.get(key, 0) + m * k
 
     def _close(self, run: dict, w: int, out: dict) -> None:
+        """Add each run X of ``run``, closed to T^w X S^-1 T^w S, to ``out``."""
         p = self._modulus
-        for (a, b, g, s), m in run.items():
-            a, b = a + w, b + w
-            key = (a % p, b % p, g, s) if p else (a, b, g, s)
+        for (g, s), m in run.items():
+            key = _reduced(_mul(_mul((1, w, 0, 1), g), (1, 0, -w, 1)), s + 2 * w, p)
             out[key] = out.get(key, 0) + m
 
     def _grow(self) -> None:
@@ -472,7 +462,7 @@ class _Counts:
             for x in range(1, length):
                 self._join(self._segments[length - x], x, triangle, triangles)
         self._close(triangles, triangle, closed)  # every kind allows them
-        self._add_segments(closed)
+        self._segments[length] = closed
 
     def classes(self, n: int) -> list:
         """Sorted ``((m, total), count)`` pairs: ``count`` dissections of the n-gon.
@@ -484,9 +474,4 @@ class _Counts:
             raise ValueError(f"the table counts polygons of 3..{self.n} vertices, not {n}")
         while len(self._segments) < n - 1:
             self._grow()
-        out = {}
-        for (a, b, g, s), m in self._segments[n - 1].items():
-            key = _reduced(_mul(_mul((a, -1, 1, 0), g), (b, -1, 1, 0)), a + s + b, self._modulus)
-            out[key] = out.get(key, 0) + m
-        return sorted(out.items())
-
+        return sorted(self._segments[n - 1].items())

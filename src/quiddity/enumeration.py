@@ -17,9 +17,9 @@ sweep, each class the product and entry sum of a quiddity: mod 2 for thm1i
 ({3,4} dissections and their parity quiddity) and over Z for thm2 and thm3
 (triangulations and 3d dissections and their cc quiddity).  Each of the
 few classes is decided once; ``enumerate_dissections`` lists the dissections
-only to name the counterexamples of a failing class, and for the quiddity
-set that the converse of thm2 and thm3 compares against, each read with
-its own ``quiddity_mod2`` or ``quiddity_cc``.
+only to name the counterexamples of a failing class up to the polygon cap,
+and for the quiddity set that the converse of thm2 and thm3 compares
+against, each read with its own ``quiddity_mod2`` or ``quiddity_cc``.
 """
 
 import operator
@@ -53,6 +53,7 @@ from .surgery import realize_dissection, realize_triangulation
 __all__ = [
     "DEFAULT_MOD2_CAP",
     "DEFAULT_INT_CAP",
+    "DEFAULT_COUNT_CAP",
     "SWEEP_NAMES",
     "SolutionReport",
     "SweepReport",
@@ -67,6 +68,7 @@ __all__ = [
 
 DEFAULT_MOD2_CAP = 20
 DEFAULT_INT_CAP = 8
+DEFAULT_COUNT_CAP = 64
 
 SWEEP_NAMES = ("thm1i", "thm1ii", "thm2", "thm3", "remark")
 
@@ -206,6 +208,7 @@ def _check_sweep(
     polygon_cap: int,
     mod2_cap: int,
     int_cap: int,
+    count_cap: int,
     converse_hi: int = _CONVERSE_HI,
 ) -> int:
     """First n of the sweep ``which`` over [n_lo, n_hi], after its range and cap checks.
@@ -222,10 +225,11 @@ def _check_sweep(
     if which in ("thm1ii", "remark"):
         met = [("mod-2", mod2_cap, n_hi)]
     else:
-        # the count takes no cap: the counted sweeps meet the polygon cap here
-        met = [("polygon", polygon_cap, n_hi)]
+        met = [("count", count_cap, n_hi)]
     if which in ("thm2", "thm3"):
-        met.append(("integer-search", int_cap, min(n_hi, converse_hi)))
+        # the converse's walk and search; past the polygon cap no walk names a failing class
+        last = min(n_hi, converse_hi)
+        met += [("polygon", polygon_cap, last), ("integer-search", int_cap, last)]
     over = [(max(start, cap + 1), what, cap) for what, cap, last in met if max(start, cap + 1) <= last]
     if over:
         _check_cap(*min(over, key=lambda o: o[0]))
@@ -247,6 +251,7 @@ def theorem_sweep(
     polygon_cap: int = DEFAULT_POLYGON_CAP,
     mod2_cap: int = DEFAULT_MOD2_CAP,
     int_cap: int = DEFAULT_INT_CAP,
+    count_cap: int = DEFAULT_COUNT_CAP,
     converse_hi: int = _CONVERSE_HI,
 ) -> SweepReport:
     """Run one named verification sweep over n in [n_lo, n_hi].
@@ -265,30 +270,32 @@ def theorem_sweep(
             with the exact quiddity.
 
     thm1i, thm2 and thm3 count the dissections by class, on one table
-    grown with n, and decide each class once; ``checked`` is the count.
-    A class is the product of a quiddity with its entry sum, decided with
-    ``classify_pm_identity``: for thm1i the parity quiddity's mod 2, where
-    -Id is Id, and for thm2 and thm3 the cc quiddity's over Z.  Only when
-    a class fails is a sweep's kind listed by ``enumerate_dissections``,
+    grown with n up to ``count_cap``, and decide each class once;
+    ``checked`` is the count.  A class is the product of a quiddity with
+    its entry sum, decided with ``classify_pm_identity``: for thm1i the
+    parity quiddity's mod 2, where -Id is Id, and for thm2 and thm3 the cc
+    quiddity's over Z.  Only when a class fails, and n is at most
+    ``polygon_cap``, is a sweep's kind listed by ``enumerate_dissections``,
     to name each failing dissection (thm1i, thm2) or quiddity (thm3) in
     stream or sorted order, and a count the stream does not match is
-    itself a counterexample.  For n <= ``converse_hi`` thm2 and thm3 list
-    it anyway, to collect the
-    quiddities their converse compares with the integer search (entries up
-    to n - 2, about (n-2)^(n/2) products), and check each listed quiddity
-    as it comes; above it only the forward direction is checked and no n
-    is vacuous.  Bounds and caps are read with ``operator.index``; a range
-    holding no n >= 3 raises ``ValueError``, and one reaching past a cap
-    raises ``CapExceeded`` before any work.
+    itself a counterexample; past the polygon cap each failing class is
+    reported from its count.  For n <= ``converse_hi`` thm2 and thm3 list
+    it anyway, to collect the quiddities their converse compares with the
+    integer search (entries up to n - 2, about (n-2)^(n/2) products), and
+    check each listed quiddity as it comes; above it only the forward
+    direction is checked and no n is vacuous.  Bounds and caps are read
+    with ``operator.index``; a range holding no n >= 3 raises
+    ``ValueError``, and one reaching past a cap raises ``CapExceeded``
+    before any work.
     """
     if which not in SWEEP_NAMES:
         raise ValueError(f"unknown sweep {which!r}; expected one of {SWEEP_NAMES}")
-    n_lo, n_hi, converse_hi, polygon_cap, mod2_cap, int_cap = map(
-        operator.index, (n_lo, n_hi, converse_hi, polygon_cap, mod2_cap, int_cap)
+    n_lo, n_hi, converse_hi, polygon_cap, mod2_cap, int_cap, count_cap = map(
+        operator.index, (n_lo, n_hi, converse_hi, polygon_cap, mod2_cap, int_cap, count_cap)
     )
     start = _check_sweep(
         which, n_lo, n_hi, polygon_cap=polygon_cap, mod2_cap=mod2_cap,
-        int_cap=int_cap, converse_hi=converse_hi,
+        int_cap=int_cap, count_cap=count_cap, converse_hi=converse_hi,
     )
     checked = 0
     bad: list[str] = []
@@ -300,17 +307,22 @@ def theorem_sweep(
         if which in _COUNTED:
             classes = counts.classes(n)
             checked += sum(count for _, count in classes)
+            wrong = [(Mat2(*m), total, count) for (m, total), count in classes]
             if which == "thm2":
-                failing = sum(
-                    count for (m, total), count in classes
-                    if classify_pm_identity(Mat2(*m)) is not MatClass.MINUS_ID or total != 3 * n - 6
-                )
+                wrong = [
+                    w for w in wrong if classify_pm_identity(w[0]) is not MatClass.MINUS_ID or w[1] != 3 * n - 6
+                ]
             else:  # thm1i and thm3; mod 2, for thm1i, -Id is Id
-                failing = sum(
-                    count for (m, _), count in classes if classify_pm_identity(Mat2(*m)) is MatClass.OTHER
-                )
+                wrong = [w for w in wrong if classify_pm_identity(w[0]) is MatClass.OTHER]
+            failing = sum(count for *_, count in wrong)
+            name = failing and n <= polygon_cap  # only then walk to name them
+            bad += [
+                f"n={n}: {count} dissections counted with product {m!r} and sum {total}, "
+                f"unnamed past the polygon cap {polygon_cap}"
+                for m, total, count in wrong if not name
+            ]
         if which == "thm1i":
-            if failing:
+            if name:
                 named = []
                 for d in enumerate_dissections(n, kind, polygon_cap):
                     q = d.quiddity_mod2()
@@ -325,7 +337,7 @@ def theorem_sweep(
                     bad.append(f"n={n}: realization of {format_seq(s)} gave {d!r}")
         elif which == "thm2":
             tri_quiddities = set()
-            if failing or n <= converse_hi:
+            if name or n <= converse_hi:
                 named = 0
                 for d in enumerate_dissections(n, kind, polygon_cap):
                     q = d.quiddity_cc()
@@ -348,7 +360,7 @@ def theorem_sweep(
                         )
         elif which == "thm3":
             quiddities = Counter()  # each with its number of dissections
-            if failing or n <= converse_hi:
+            if name or n <= converse_hi:
                 quiddities.update(d.quiddity_cc() for d in enumerate_dissections(n, kind, polygon_cap))
                 named = 0
                 for q in sorted(quiddities):

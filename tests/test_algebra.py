@@ -135,6 +135,33 @@ def test_sequences_reject_non_integer_entries():
     assert as_mod2_seq((False, 1)) == (0, 1)
 
 
+def _checked(check, entries):
+    """The frozen tuple, or the exception's type name and message."""
+    try:
+        return check(entries)
+    except (TypeError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("entries, as_int, as_mod2", [
+    ([], ("ValueError", "sequence must be nonempty"), ("ValueError", "sequence must be nonempty")),
+    ((True, False), ("ValueError", "entries must be positive integers, got (1, 0)"), (1, 0)),
+    ((True, True), (1, 1), (1, 1)),
+    ([2], (2,), ("ValueError", "entries must be 0 or 1, got (2,)")),
+    ([1, -1, 1], ("ValueError", "entries must be positive integers, got (1, -1, 1)"),
+     ("ValueError", "entries must be 0 or 1, got (1, -1, 1)")),
+    ([1.0], ("TypeError", "'float' object cannot be interpreted as an integer"),
+     ("TypeError", "'float' object cannot be interpreted as an integer")),
+])
+def test_sequence_checks_keep_their_errors(entries, as_int, as_mod2):
+    assert _checked(as_int_seq, entries) == as_int
+    assert _checked(as_mod2_seq, entries) == as_mod2
+    # bools come back as plain ints
+    for got in (_checked(as_int_seq, entries), _checked(as_mod2_seq, entries)):
+        if type(got[0]) is not str:
+            assert {type(e) for e in got} == {int}
+
+
 def test_elementary_matrix_examples():
     assert elementary_matrix(0) == Mat2(0, -1, 1, 0)
     assert elementary_matrix(0) == generator_value("S")

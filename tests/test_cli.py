@@ -275,7 +275,7 @@ def test_enumerate_thm3_past_the_integer_cap(capsys):
     assert out.rstrip().endswith("counterexamples=0")
 
 
-@pytest.mark.parametrize("name", ["QUIDDITY_MOD2_CAP", "QUIDDITY_POLYGON_CAP", "QUIDDITY_INT_CAP"])
+@pytest.mark.parametrize("name", ["QUIDDITY_MOD2_CAP", "QUIDDITY_POLYGON_CAP", "QUIDDITY_INT_CAP", "QUIDDITY_COUNT_CAP"])
 def test_non_integer_cap_is_a_usage_error(capsys, monkeypatch, name):
     monkeypatch.setenv(name, "twelve")
     code, out, err = run(capsys, "check", "1,1,1", "--pm")

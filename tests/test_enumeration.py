@@ -5,7 +5,9 @@ import math
 
 import pytest
 
+import seed_counts
 from quiddity import (
+    DEFAULT_COUNT_CAP,
     CapExceeded,
     Dissection,
     MatClass,
@@ -212,17 +214,30 @@ def _never_called(*args, **kwargs):
     raise AssertionError("a per-n worker ran")
 
 
+_PAST_COUNT_CAP = DEFAULT_COUNT_CAP + 1
+
+
 @pytest.mark.parametrize("which, n_lo, n_hi, caps, message", [
-    ("thm1i", 3, 13, {}, "n=13 exceeds the polygon cap 12"),
-    ("thm1i", 9, 10, {"polygon_cap": 4}, "n=9 exceeds the polygon cap 4"),
+    ("thm1i", 3, 13, {"count_cap": 12}, "n=13 exceeds the count cap 12"),
+    # the polygon cap no longer holds thm1i: only the count cap does
+    ("thm1i", 9, 10, {"count_cap": 4, "polygon_cap": 4}, "n=9 exceeds the count cap 4"),
     ("thm1ii", 3, 21, {}, "n=21 exceeds the mod-2 cap 20"),
     ("remark", 5, 30, {"mod2_cap": 7}, "n=8 exceeds the mod-2 cap 7"),
     ("thm2", 3, 10, {"int_cap": 5}, "n=6 exceeds the integer-search cap 5"),
     ("thm3", 3, 13, {"converse_hi": 9}, "n=9 exceeds the integer-search cap 8"),
     # the converse gate keeps the integer search under its cap
-    ("thm3", 3, 13, {}, "n=13 exceeds the polygon cap 12"),
+    ("thm3", 3, 13, {"count_cap": 12}, "n=13 exceeds the count cap 12"),
     # at one n the loop walks the polygon before it searches
     ("thm2", 3, 10, {"polygon_cap": 8, "converse_hi": 10}, "n=9 exceeds the polygon cap 8"),
+    # the default count cap holds every counted sweep
+    ("thm1i", 3, _PAST_COUNT_CAP, {}, f"n={_PAST_COUNT_CAP} exceeds the count cap {DEFAULT_COUNT_CAP}"),
+    ("thm2", 3, _PAST_COUNT_CAP, {}, f"n={_PAST_COUNT_CAP} exceeds the count cap {DEFAULT_COUNT_CAP}"),
+    ("thm3", 3, _PAST_COUNT_CAP, {}, f"n={_PAST_COUNT_CAP} exceeds the count cap {DEFAULT_COUNT_CAP}"),
+    # the polygon cap still holds the walk of the converse, met at one n
+    # after the count and before the search
+    ("thm3", 3, 13, {"int_cap": 13, "converse_hi": 13}, "n=13 exceeds the polygon cap 12"),
+    ("thm2", 3, 70, {"polygon_cap": 4}, "n=5 exceeds the polygon cap 4"),
+    ("thm2", 3, 70, {"polygon_cap": 4, "count_cap": 4}, "n=5 exceeds the count cap 4"),
 ])
 def test_sweep_past_a_cap_raises_before_any_work(monkeypatch, which, n_lo, n_hi, caps, message):
     _patch_sweep_workers(monkeypatch, _never_called)
@@ -234,15 +249,17 @@ def test_sweep_past_a_cap_raises_before_any_work(monkeypatch, which, n_lo, n_hi,
 @pytest.mark.parametrize("argv, env, message", [
     (["12", "--sweep", "all"], {"QUIDDITY_INT_CAP": "5"}, "n=6 exceeds the integer-search cap 5"),
     (["12", "--sweep", "thm1"], {"QUIDDITY_MOD2_CAP": "11"}, "n=12 exceeds the mod-2 cap 11"),
-    (["12", "--sweep", "all"], {"QUIDDITY_POLYGON_CAP": "5", "QUIDDITY_MOD2_CAP": "5"},
-     "n=6 exceeds the polygon cap 5"),
+    # thm2 walks for its converse up to n = 7, so it meets the polygon cap
+    (["12", "--sweep", "all"], {"QUIDDITY_POLYGON_CAP": "5"}, "n=6 exceeds the polygon cap 5"),
     # the first failing sweep in run order names its cap, not the lowest n
     (["12", "--sweep", "all"], {"QUIDDITY_INT_CAP": "5", "QUIDDITY_MOD2_CAP": "11"},
      "n=12 exceeds the mod-2 cap 11"),
+    (["12", "--sweep", "all"], {"QUIDDITY_COUNT_CAP": "5", "QUIDDITY_MOD2_CAP": "5"},
+     "n=6 exceeds the count cap 5"),
 ])
 def test_enumerate_checks_every_chosen_sweep_before_running_one(capsys, monkeypatch, argv, env, message):
     _patch_sweep_workers(monkeypatch, _never_called)
-    for name in ("QUIDDITY_MOD2_CAP", "QUIDDITY_POLYGON_CAP", "QUIDDITY_INT_CAP"):
+    for name in ("QUIDDITY_MOD2_CAP", "QUIDDITY_POLYGON_CAP", "QUIDDITY_INT_CAP", "QUIDDITY_COUNT_CAP"):
         monkeypatch.delenv(name, raising=False)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
@@ -253,8 +270,52 @@ def test_enumerate_checks_every_chosen_sweep_before_running_one(capsys, monkeypa
 @pytest.mark.parametrize("which", ["thm1i", "thm1ii", "thm2", "thm3", "remark"])
 def test_sweep_up_to_its_caps_runs(monkeypatch, which):
     _patch_sweep_workers(monkeypatch, lambda *args, **kwargs: [])
-    report = theorem_sweep(which, 3, 6, polygon_cap=6, mod2_cap=6, int_cap=6, converse_hi=6)
+    report = theorem_sweep(which, 3, 6, polygon_cap=6, mod2_cap=6, int_cap=6, count_cap=6, converse_hi=6)
     assert (report.checked, report.counterexamples) == (0, ())
+
+
+@pytest.mark.parametrize("which, kind, polygon_cap", [
+    ("thm1i", "34", 3), ("thm2", "triangulation", 7), ("thm3", "3d", 7),
+])
+def test_counted_sweeps_pass_the_polygon_cap_without_walking_above_it(monkeypatch, which, kind, polygon_cap):
+    walked = []
+
+    def walk(n, kind, cap):
+        walked.append(n)
+        return enumerate_dissections(n, kind, cap)
+
+    monkeypatch.setattr(enumeration, "enumerate_dissections", walk)
+    report = theorem_sweep(which, 3, 20, polygon_cap=polygon_cap)
+    assert report.ok
+    assert walked == list(range(3, polygon_cap + 1)) * (which != "thm1i")
+    # the totals of the open-state engine, which no sweep runs
+    counts = seed_counts.Counts(kind, dissections._OVER_F2, 20)
+    want = sum(count for n in range(3, 21) for _, count in counts.classes(n))
+    for n in range(3, 8) if which != "thm1i" else ():
+        solutions = solutions_pm_identity(n)
+        want += len(solutions) if which == "thm2" else len({s for s, _ in solutions})
+    assert report.checked == want
+
+
+def test_a_failing_class_past_the_polygon_cap_is_reported_from_its_count(monkeypatch):
+    counts = dissections._Counts("34", dissections._OVER_F2, 14)
+    total = sum(count for n in (13, 14) for _, count in counts.classes(n))
+    monkeypatch.setattr(enumeration, "enumerate_dissections", _never_called)
+    classes = dissections._Counts.classes
+
+    def counted(self, n):
+        extra = [(((0, 1, 1, 0), 0), 2), (((1, 1, 0, 1), 1), 3)] if n == 14 else []
+        return [*classes(self, n), *extra]
+
+    monkeypatch.setattr(dissections._Counts, "classes", counted)
+    report = theorem_sweep("thm1i", 13, 14)
+    assert report.checked == total + 5
+    assert report.counterexamples == (
+        "n=14: 2 dissections counted with product Mat2(a=0, b=1, c=1, d=0) and sum 0, "
+        "unnamed past the polygon cap 12",
+        "n=14: 3 dissections counted with product Mat2(a=1, b=1, c=0, d=1) and sum 1, "
+        "unnamed past the polygon cap 12",
+    )
 
 
 @pytest.mark.parametrize("which", ["thm1i", "thm1ii", "thm2", "thm3", "remark"])
@@ -298,7 +359,8 @@ def test_solution_report_rejects_non_integer_n(n):
 
 @pytest.mark.parametrize(
     "bounds",
-    [{"n_lo": 1.0}, {"n_lo": 3.5}, {"n_hi": 5.0}, {"n_hi": "5"}, {"converse_hi": 6.5}, {"converse_hi": 7.0}],
+    [{"n_lo": 1.0}, {"n_lo": 3.5}, {"n_hi": 5.0}, {"n_hi": "5"}, {"converse_hi": 6.5}, {"converse_hi": 7.0},
+     {"count_cap": 64.0}],
 )
 @pytest.mark.parametrize("which", ["thm1i", "thm2", "thm3"])
 def test_theorem_sweep_rejects_non_integer_bounds(which, bounds):

@@ -15,6 +15,7 @@ import pytest
 
 import seed_cells as seed
 from quiddity import (
+    DEFAULT_COUNT_CAP,
     Dissection,
     MatClass,
     enumerate_dissections,
@@ -109,7 +110,7 @@ SWEEP_ALL_10_JSON = (
 
 @pytest.fixture
 def default_caps(monkeypatch):
-    for name in ("QUIDDITY_MOD2_CAP", "QUIDDITY_POLYGON_CAP", "QUIDDITY_INT_CAP"):
+    for name in ("QUIDDITY_MOD2_CAP", "QUIDDITY_POLYGON_CAP", "QUIDDITY_INT_CAP", "QUIDDITY_COUNT_CAP"):
         monkeypatch.delenv(name, raising=False)
 
 
@@ -119,9 +120,15 @@ def test_sweep_all_prints_the_recorded_output(flags, want, capsys, default_caps)
     assert capsys.readouterr() == (want, "")
 
 
-def test_sweep_past_the_default_polygon_cap_is_a_usage_error(capsys, default_caps):
-    assert main(["enumerate", "13", "--sweep", "thm1i"]) == 2
-    assert capsys.readouterr() == ("", "quiddity: n=13 exceeds the polygon cap 12\n")
+def test_sweep_past_the_default_count_cap_is_a_usage_error(capsys, default_caps):
+    n = DEFAULT_COUNT_CAP + 1
+    for which in ("thm1i", "thm2", "thm3"):
+        assert main(["enumerate", str(n), "--sweep", which]) == 2
+        assert capsys.readouterr() == ("", f"quiddity: n={n} exceeds the count cap {DEFAULT_COUNT_CAP}\n")
+    # past the default polygon cap the count alone decides
+    assert main(["enumerate", "13", "--sweep", "thm1i"]) == 0
+    total = sum(count for n in range(3, 14) for _, count in _Counts("34", _OVER_F2, 13).classes(n))
+    assert capsys.readouterr() == (f"sweep=thm1i range=3..13 checked={total} counterexamples=0\n", "")
 
 
 @pytest.mark.parametrize("kind", KINDS)
