@@ -4,17 +4,22 @@ A pattern of period n has n - 1 rows, the first and last all 1's, stored
 one period per row.  Rows drift southeast: the diamond whose west and east
 entries are ``rows[r][k]`` and ``rows[r][k+1]`` has its north at
 ``rows[r-1][k+1]`` and its south at ``rows[r+1][k]``, and must satisfy
-west * east - north * south = 1.  Construction fills row 1 with ones, row 2
-with the quiddity, and each later entry by the diamond rule
+west * east - north * south = 1.  Entry k of row r + 1 is the continuant
+K(k..k+r-1) of the run c_k, ..., c_{k+r-1} of the quiddity c (row 1 is the
+empty run, row 2 the quiddity), so each row follows from the two above it
+by the continuant recurrence
 
-    south = (west * east - 1) / north,
+    K(k..k+r) = c_{k+r} * K(k..k+r-1) - K(k..k+r-2),
 
-failing with a structured error on a non-positive entry or a last row that
-is not all ones.  Such failures witness that the input is not the quiddity
-of a triangulation.  Every division is exact: the entries are the
-continuants K(i..j) of runs c_i, ..., c_j of the quiddity, and the
-Desnanot-Jacobi identity K(i..j) K(i+1..j+1) - K(i..j+1) K(i+1..j) = 1 is
-the diamond rule, so a positive north always divides west * east - 1.
+with no division.  Construction fails with a structured error on a
+non-positive entry or a last row that is not all ones; such failures
+witness that the input is not the quiddity of a triangulation.  Validation
+checks each row against the recurrence applied to the two rows above.  Once
+the entries are positive this is the diamond rule, diamond for diamond: by
+Desnanot-Jacobi, K(i..j) K(i+1..j+1) - K(i..j+1) K(i+1..j) = 1, so
+continuants satisfy the rule, and a positive north fixes its south.  If
+every earlier diamond holds, the rows above are continuant rows and a
+diamond fails exactly where its south differs from the recurrence's.
 """
 
 from dataclasses import dataclass
@@ -74,28 +79,28 @@ class FriezePattern:
     rows: tuple[tuple[int, ...], ...]
 
 
+def _next_row(q, prev, cur, r: int) -> tuple:
+    """Row r + 1 of the frieze of ``q`` from rows r - 1 and r (1-based)."""
+    s = (r - 1) % len(q)
+    return tuple([c * x - y for c, x, y in zip(q[s:] + q[:s], cur, prev)])
+
+
 def build_frieze(quiddity) -> FriezePattern:
     """Grow the pattern from a quiddity row; raise a FriezeError on failure."""
     q = as_int_seq(quiddity)
     n = len(q)
     if n < 3:
         raise ValueError(f"period must be at least 3, got {n}")
-    rows: list[tuple[int, ...]] = [(1,) * n, q]
-    while len(rows) < n - 1:
-        prev, cur = rows[-2], rows[-1]
-        r = len(rows) + 1
-        new = []
-        for k in range(n):
-            north = prev[(k + 1) % n]  # positive, as every stored entry is
-            # exact: entries are continuants, and Desnanot-Jacobi is this rule
-            value = (cur[k] * cur[(k + 1) % n] - 1) // north
-            if value <= 0:
-                raise NonPositiveEntry(r, k + 1, value)
-            new.append(value)
-        rows.append(tuple(new))
-    for k, value in enumerate(rows[-1]):
-        if value != 1:
-            raise BorderViolation(n - 1, k + 1)
+    ones = (1,) * n
+    rows: list[tuple[int, ...]] = [ones, q]
+    for r in range(2, n - 1):
+        new = _next_row(q, rows[-2], rows[-1], r)
+        if min(new) <= 0:
+            k = next(k for k, value in enumerate(new) if value <= 0)
+            raise NonPositiveEntry(r + 1, k + 1, new[k])
+        rows.append(new)
+    if rows[-1] != ones:
+        raise BorderViolation(n - 1, next(k for k, value in enumerate(rows[-1]) if value != 1) + 1)
     return FriezePattern(n, tuple(rows))
 
 
@@ -109,20 +114,21 @@ def validate_frieze(f: FriezePattern) -> None:
     for r, row in enumerate(f.rows, start=1):
         if len(row) != n:
             raise FriezeError(f"row {r} has period {len(row)}, expected {n}", row=r)
-        for k, value in enumerate(row):
-            if value <= 0:
-                raise NonPositiveEntry(r, k + 1, value)
+        if min(row) <= 0:
+            k = next(k for k, value in enumerate(row) if value <= 0)
+            raise NonPositiveEntry(r, k + 1, row[k])
     for r in (1, n - 1):
         for k, value in enumerate(f.rows[r - 1]):
             if value != 1:
                 raise BorderViolation(r, k + 1)
+    # with positive entries and ones on the borders, a row equal to the
+    # recurrence's is one whose diamonds all hold (see the module docstring)
+    q = f.rows[1]
     for r in range(2, n - 1):
-        prev, cur, nxt = f.rows[r - 2], f.rows[r - 1], f.rows[r]
-        for k in range(n):
-            west, east = cur[k], cur[(k + 1) % n]
-            north, south = prev[(k + 1) % n], nxt[k]
-            if west * east - north * south != 1:
-                raise DiamondViolation(r, k + 1)
+        nxt = tuple(f.rows[r])
+        want = _next_row(q, f.rows[r - 2], f.rows[r - 1], r)
+        if nxt != want:
+            raise DiamondViolation(r, next(k for k in range(n) if nxt[k] != want[k]) + 1)
 
 
 def sum_condition(seq) -> bool:

@@ -75,11 +75,24 @@ def _lagrange(n, rule):
     return total
 
 
+# the most closed states of one length over Z, as
+# test_count_differential.py::test_closed_states_per_length_are_few bounds them
+_MOST_OVER_Z = {"triangulation": 1, "3d": 8}
+
+
 @functools.cache
 def _table(kind, modulus, top):
-    """The table of ``kind`` by ``modulus``, grown to the ``top``-gon."""
+    """The table of ``kind`` by ``modulus``, grown to the ``top``-gon.
+
+    It grows one length at a time, and a table over Z must keep within its
+    bound on the states of a length before it grows further, so that a
+    table whose states multiply fails instead of exhausting memory.
+    """
     counts = _Counts(kind, modulus, top)
-    counts.classes(top)
+    for n in range(3, top + 1):
+        counts.classes(n)
+        if modulus == _OVER_Z:
+            assert len(counts._segments[n - 1]) <= _MOST_OVER_Z[kind], (kind, n)
     return counts
 
 

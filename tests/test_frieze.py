@@ -176,7 +176,7 @@ def _rational_rows(q):
 
 def test_diamond_division_is_exact_on_every_small_sequence():
     # the entries are continuants, so Desnanot-Jacobi makes every division
-    # exact; build_frieze divides with // and has no remainder check
+    # exact, and build_frieze's continuant recurrence gives the same rows
     seen = 0
     for n in range(3, 8):
         for q in itertools.product(range(1, 5), repeat=n):
