@@ -9,23 +9,17 @@ sequences with entries in [1, cap] whose product is plus or minus the
 identity by meeting in the middle: prefix products of half length are
 matched against inverse suffix products, and the matches are sorted.
 
-``theorem_sweep`` cross-checks the combinatorial characterizations at desk
-scale (dissections -> quiddities -> membership, and solutions ->
-realization -> round trip).  The forward sweeps do not list the
-dissections: ``_Counts.classes`` counts them by class on one table per
-sweep, each class the product and entry sum of a quiddity: mod 2 for thm1i
-({3,4} dissections and their parity quiddity) and over Z for thm2 and thm3
-(triangulations and 3d dissections and their cc quiddity).  Each of the
-few classes is decided once; ``enumerate_dissections`` lists the dissections
-only to name the counterexamples of a failing class up to the polygon cap,
-and for the quiddity set that the converse of thm2 and thm3 compares
-against, each read with its own ``quiddity_mod2`` or ``quiddity_cc``.
+``theorem_sweep`` checks the paper's characterizations at desk scale, one
+``_SPECS`` entry a sweep.  A counted sweep states its claim once, on the
+class (product, sum) of a quiddity; the count, the walk that names a
+failing class and the converse against the integer search all read it.
 """
 
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
+from typing import Callable, NamedTuple
 
 from .algebra import (
     IntSeq,
@@ -36,8 +30,6 @@ from .algebra import (
     _fold,
     classify_pm_identity,
     format_seq,
-    is_gamma2_solution,
-    m_product,
     min_rotation,
 )
 from .dissections import (
@@ -46,6 +38,7 @@ from .dissections import (
     _OVER_Z,
     _Counts,
     _check_cap,
+    _reduced,
     enumerate_dissections,
 )
 from .surgery import realize_dissection, realize_triangulation
@@ -69,11 +62,6 @@ __all__ = [
 DEFAULT_MOD2_CAP = 20
 DEFAULT_INT_CAP = 8
 DEFAULT_COUNT_CAP = 64
-
-SWEEP_NAMES = ("thm1i", "thm1ii", "thm2", "thm3", "remark")
-
-# the kind each forward sweep counts, and the modulus it counts by
-_COUNTED = {"thm1i": ("34", _OVER_F2), "thm2": ("triangulation", _OVER_Z), "thm3": ("3d", _OVER_Z)}
 
 # default top n of the thm2/thm3 integer-search converse
 _CONVERSE_HI = 7
@@ -200,6 +188,51 @@ class SweepReport:
         return not self.counterexamples
 
 
+class _Counted(NamedTuple):
+    """A sweep that counts one kind of dissection by class and states one claim on a class."""
+
+    kind: str
+    modulus: int  # ``_OVER_F2`` counts parity quiddities, ``_OVER_Z`` cc quiddities
+    claim: Callable  # (MatClass of M(q), sum q, n) -> the reasons the class fails
+    subject: str  # names a listed quiddity {q} of the dissection {d}
+    per_dissection: bool  # name each dissection in stream order, else each distinct quiddity sorted
+    missed: str | None = None  # names a search solution {s} the converse misses; None: no converse
+
+
+class _Realized(NamedTuple):
+    """A sweep that realizes every mod-2 solution and checks the dissection it gets."""
+
+    realize: Callable  # calls the realizer through its module name, so a patch of it is seen
+    flag: str  # the ``DissectionFlags`` field the result must carry
+    word: str  # names a failure
+    odd_only: bool  # skip the solutions with no odd entry
+
+
+_SPECS = {
+    # mod 2, where -Id is Id, a parity quiddity is a solution iff its class is not Other
+    "thm1i": _Counted(
+        "34", _OVER_F2, lambda c, total, n: ["is not a solution"] * (c is MatClass.OTHER),
+        subject="quiddity {q} of {d!r}", per_dissection=True,
+    ),
+    "thm1ii": _Realized(lambda s: realize_dissection(s), "is_34", "realization", odd_only=False),
+    "thm2": _Counted(
+        "triangulation", _OVER_Z,
+        lambda c, total, n: ["is not -Id"] * (c is not MatClass.MINUS_ID) + [f"sums to {total}"] * (total != 3 * n - 6),
+        subject="triangulation quiddity {q}", per_dissection=True,
+        missed="-Id solution {s} with quiddity sum is not a triangulation quiddity",
+    ),
+    "thm3": _Counted(
+        "3d", _OVER_Z, lambda c, total, n: ["is not a +/-Id solution"] * (c is MatClass.OTHER),
+        subject="quiddity {q}", per_dissection=False, missed="solution {s} is not a 3d quiddity",
+    ),
+    "remark": _Realized(lambda s: realize_triangulation(s), "is_triangulation", "triangulation", odd_only=True),
+}
+SWEEP_NAMES = tuple(_SPECS)
+
+# the class of a +/-Id solution's product, read from the search's sign
+_SIGNED = {1: MatClass.PLUS_ID, -1: MatClass.MINUS_ID}
+
+
 def _check_sweep(
     which: str,
     n_lo: int,
@@ -222,25 +255,77 @@ def _check_sweep(
         raise ValueError(f"sweep range {n_lo}..{n_hi} contains no polygon size n >= 3")
     # the caps the per-n calls meet, in call order, each with the last n it
     # is met at; raise now what the loop would raise first
-    if which in ("thm1ii", "remark"):
+    spec = _SPECS[which]
+    if isinstance(spec, _Realized):
         met = [("mod-2", mod2_cap, n_hi)]
     else:
         met = [("count", count_cap, n_hi)]
-    if which in ("thm2", "thm3"):
-        # the converse's walk and search; past the polygon cap no walk names a failing class
-        last = min(n_hi, converse_hi)
-        met += [("polygon", polygon_cap, last), ("integer-search", int_cap, last)]
+        if spec.missed is not None:
+            # the converse's walk and search; past the polygon cap no walk names a failing class
+            last = min(n_hi, converse_hi)
+            met += [("polygon", polygon_cap, last), ("integer-search", int_cap, last)]
     over = [(max(start, cap + 1), what, cap) for what, cap, last in met if max(start, cap + 1) <= last]
     if over:
         _check_cap(*min(over, key=lambda o: o[0]))
     return start
 
 
-def _mismatch(n: int, failing: int, named: int) -> list[str]:
-    """The counterexample of a count whose failing dissections the stream does not all name."""
-    if failing and named != failing:
-        return [f"n={n}: {failing} dissections counted as failing, {named} found"]
-    return []
+def _counted(spec: _Counted, start: int, n_hi: int, polygon_cap: int, int_cap: int, converse_hi: int):
+    """Yield ``(checked, counterexamples)`` of a counted sweep for each n from start to n_hi."""
+    counts = _Counts(spec.kind, spec.modulus, n_hi)
+    for n in range(start, n_hi + 1):
+        classes = counts.classes(n)
+        checked = sum(count for _, count in classes)
+        wrong = [
+            (m, total, count) for (m, total), count in classes
+            if spec.claim(classify_pm_identity(Mat2(*m)), total, n)
+        ]
+        failing = sum(count for *_, count in wrong)
+        name = failing and n <= polygon_cap  # only then walk to name them
+        converse = spec.missed is not None and n <= converse_hi
+        bad = [
+            f"n={n}: {count} dissections counted with product {Mat2(*m)!r} and sum {total}, "
+            f"unnamed past the polygon cap {polygon_cap}"
+            for m, total, count in wrong if not name
+        ]
+        listed = set()
+        if name or converse:
+            # (quiddity, dissection, dissections) in naming order; mod 2 the
+            # count reads the parity quiddity, over Z the cc quiddity
+            dissections = enumerate_dissections(n, spec.kind, polygon_cap)
+            stream = ((d.quiddity_mod2() if spec.modulus else d.quiddity_cc(), d, 1) for d in dissections)
+            if not spec.per_dissection:
+                quiddities = Counter(q for q, *_ in stream)
+                stream = ((q, None, quiddities[q]) for q in sorted(quiddities))
+            named = 0
+            for q, d, count in stream:
+                listed.add(q)
+                m, total = _reduced(_fold(q, spec.modulus), sum(q), spec.modulus)
+                reasons = spec.claim(classify_pm_identity(Mat2(*m)), total, n)
+                named += count * bool(reasons)
+                bad += [f"n={n}: {spec.subject.format(q=format_seq(q), d=d)} {reason}" for reason in reasons]
+            if failing and named != failing:
+                bad.append(f"n={n}: {failing} dissections counted as failing, {named} found")
+        if converse:
+            # cc entries are at most n - 2, the search's entry cap, so the
+            # forward check has covered the listed quiddities that are no solution
+            solutions = solutions_pm_identity(n, cap=int_cap)
+            checked += len(solutions)
+            held = {s for s, sign in solutions if not spec.claim(_SIGNED[sign], sum(s), n)}
+            bad += [f"n={n}: {spec.missed.format(s=format_seq(s))}" for s in sorted(held - listed)]
+        yield checked, bad
+
+
+def _realized(spec: _Realized, start: int, n_hi: int, mod2_cap: int):
+    """Yield ``(checked, counterexamples)`` of a realization sweep for each n from start to n_hi."""
+    for n in range(start, n_hi + 1):
+        solutions = [s for s in solutions_gamma2(n, cap=mod2_cap) if 1 in s or not spec.odd_only]
+        bad = []
+        for s in solutions:
+            d = spec.realize(s)
+            if not getattr(d.classify(), spec.flag) or d.quiddity_mod2() != s:
+                bad.append(f"n={n}: {spec.word} of {format_seq(s)} gave {d!r}")
+        yield len(solutions), bad
 
 
 def theorem_sweep(
@@ -269,26 +354,22 @@ def theorem_sweep(
     remark  every solution with an odd entry is realized by a triangulation
             with the exact quiddity.
 
-    thm1i, thm2 and thm3 count the dissections by class, on one table
-    grown with n up to ``count_cap``, and decide each class once;
-    ``checked`` is the count.  A class is the product of a quiddity with
-    its entry sum, decided with ``classify_pm_identity``: for thm1i the
-    parity quiddity's mod 2, where -Id is Id, and for thm2 and thm3 the cc
-    quiddity's over Z.  Only when a class fails, and n is at most
-    ``polygon_cap``, is a sweep's kind listed by ``enumerate_dissections``,
-    to name each failing dissection (thm1i, thm2) or quiddity (thm3) in
-    stream or sorted order, and a count the stream does not match is
-    itself a counterexample; past the polygon cap each failing class is
-    reported from its count.  For n <= ``converse_hi`` thm2 and thm3 list
-    it anyway, to collect the quiddities their converse compares with the
-    integer search (entries up to n - 2, about (n-2)^(n/2) products), and
-    check each listed quiddity as it comes; above it only the forward
-    direction is checked and no n is vacuous.  Bounds and caps are read
-    with ``operator.index``; a range holding no n >= 3 raises
-    ``ValueError``, and one reaching past a cap raises ``CapExceeded``
-    before any work.
+    A counted sweep's claim gives the reasons a class fails: the
+    ``MatClass`` of a quiddity's product (mod 2 for thm1i) with its sum.
+    The count applies it to the classes of one ``_Counts`` table grown up
+    to ``count_cap``; ``checked`` is the count.  A failing class at n <=
+    ``polygon_cap`` is named by a walk of the kind that applies it to each
+    quiddity, in stream order (thm1i, thm2) or sorted (thm3), and a count
+    the walk misses is a counterexample; past that cap a class is named by
+    its count.  The converse of thm2 and thm3, for n <= ``converse_hi``,
+    applies it to each integer-search result (entries up to n - 2) with the
+    class of its sign, names each that holds but was not listed, and adds
+    the number of results to ``checked``.  Bounds and caps are read with
+    ``operator.index``; a range holding no n >= 3 raises ``ValueError``,
+    and one reaching past a cap raises ``CapExceeded`` before any work.
     """
-    if which not in SWEEP_NAMES:
+    spec = _SPECS.get(which)
+    if spec is None:
         raise ValueError(f"unknown sweep {which!r}; expected one of {SWEEP_NAMES}")
     n_lo, n_hi, converse_hi, polygon_cap, mod2_cap, int_cap, count_cap = map(
         operator.index, (n_lo, n_hi, converse_hi, polygon_cap, mod2_cap, int_cap, count_cap)
@@ -297,91 +378,9 @@ def theorem_sweep(
         which, n_lo, n_hi, polygon_cap=polygon_cap, mod2_cap=mod2_cap,
         int_cap=int_cap, count_cap=count_cap, converse_hi=converse_hi,
     )
-    checked = 0
-    bad: list[str] = []
-    if which in _COUNTED:
-        kind, modulus = _COUNTED[which]
-        counts = _Counts(kind, modulus, n_hi)
-
-    for n in range(start, n_hi + 1):
-        if which in _COUNTED:
-            classes = counts.classes(n)
-            checked += sum(count for _, count in classes)
-            wrong = [(Mat2(*m), total, count) for (m, total), count in classes]
-            if which == "thm2":
-                wrong = [
-                    w for w in wrong if classify_pm_identity(w[0]) is not MatClass.MINUS_ID or w[1] != 3 * n - 6
-                ]
-            else:  # thm1i and thm3; mod 2, for thm1i, -Id is Id
-                wrong = [w for w in wrong if classify_pm_identity(w[0]) is MatClass.OTHER]
-            failing = sum(count for *_, count in wrong)
-            name = failing and n <= polygon_cap  # only then walk to name them
-            bad += [
-                f"n={n}: {count} dissections counted with product {m!r} and sum {total}, "
-                f"unnamed past the polygon cap {polygon_cap}"
-                for m, total, count in wrong if not name
-            ]
-        if which == "thm1i":
-            if name:
-                named = []
-                for d in enumerate_dissections(n, kind, polygon_cap):
-                    q = d.quiddity_mod2()
-                    if not is_gamma2_solution(q):
-                        named.append(f"n={n}: quiddity {format_seq(q)} of {d!r} is not a solution")
-                bad += named + _mismatch(n, failing, len(named))
-        elif which == "thm1ii":
-            for s in solutions_gamma2(n, cap=mod2_cap):
-                checked += 1
-                d = realize_dissection(s)
-                if not d.classify().is_34 or d.quiddity_mod2() != s:
-                    bad.append(f"n={n}: realization of {format_seq(s)} gave {d!r}")
-        elif which == "thm2":
-            tri_quiddities = set()
-            if name or n <= converse_hi:
-                named = 0
-                for d in enumerate_dissections(n, kind, polygon_cap):
-                    q = d.quiddity_cc()
-                    tri_quiddities.add(q)
-                    lines = []
-                    if classify_pm_identity(m_product(q)) is not MatClass.MINUS_ID:
-                        lines.append(f"n={n}: triangulation quiddity {format_seq(q)} is not -Id")
-                    if sum(q) != 3 * n - 6:
-                        lines.append(f"n={n}: triangulation quiddity {format_seq(q)} sums to {sum(q)}")
-                    named += bool(lines)
-                    bad += lines
-                bad += _mismatch(n, failing, named)
-            if n <= converse_hi:
-                for s, sign in solutions_pm_identity(n, cap=int_cap):
-                    checked += 1
-                    if sign == -1 and sum(s) == 3 * n - 6 and s not in tri_quiddities:
-                        bad.append(
-                            f"n={n}: -Id solution {format_seq(s)} with quiddity sum "
-                            f"is not a triangulation quiddity"
-                        )
-        elif which == "thm3":
-            quiddities = Counter()  # each with its number of dissections
-            if name or n <= converse_hi:
-                quiddities.update(d.quiddity_cc() for d in enumerate_dissections(n, kind, polygon_cap))
-                named = 0
-                for q in sorted(quiddities):
-                    if classify_pm_identity(m_product(q)) is MatClass.OTHER:
-                        bad.append(f"n={n}: quiddity {format_seq(q)} is not a +/-Id solution")
-                        named += quiddities[q]
-                bad += _mismatch(n, failing, named)
-            # cc entries are at most n - 2, the search's entry cap, so the
-            # forward check has covered quiddities - solutions already
-            if n <= converse_hi:
-                solutions = {s for s, _ in solutions_pm_identity(n, cap=int_cap)}
-                checked += len(solutions)
-                for s in sorted(solutions - quiddities.keys()):
-                    bad.append(f"n={n}: solution {format_seq(s)} is not a 3d quiddity")
-        elif which == "remark":
-            for s in solutions_gamma2(n, cap=mod2_cap):
-                if 1 not in s:
-                    continue
-                checked += 1
-                t = realize_triangulation(s)
-                if not t.classify().is_triangulation or t.quiddity_mod2() != s:
-                    bad.append(f"n={n}: triangulation of {format_seq(s)} gave {t!r}")
-
-    return SweepReport(which, n_lo, n_hi, checked, tuple(bad))
+    if isinstance(spec, _Realized):
+        per_n = list(_realized(spec, start, n_hi, mod2_cap))
+    else:
+        per_n = list(_counted(spec, start, n_hi, polygon_cap, int_cap, converse_hi))
+    bad = tuple(line for _, lines in per_n for line in lines)
+    return SweepReport(which, n_lo, n_hi, sum(checked for checked, _ in per_n), bad)

@@ -324,7 +324,6 @@ THM1I_TO_4_COUNTEREXAMPLES = [
 def test_enumerate_sweep_counterexamples_exit_1(capsys, monkeypatch):
     # the theorem holds, so make thm1i's class and membership tests reject everything
     monkeypatch.setattr(enumeration, "classify_pm_identity", lambda m: MatClass.OTHER)
-    monkeypatch.setattr(enumeration, "is_gamma2_solution", lambda q: False)
     code, out, err = run(capsys, "enumerate", "4", "--sweep", "thm1")
     assert (code, err) == (1, "")
     assert out == "".join([

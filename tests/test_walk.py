@@ -17,14 +17,16 @@ import seed_cells as seed
 from quiddity import (
     DEFAULT_COUNT_CAP,
     Dissection,
+    Mat2,
     MatClass,
+    classify_pm_identity,
     enumerate_dissections,
     format_seq,
     solutions_pm_identity,
     theorem_sweep,
 )
 from quiddity import dissections, enumeration
-from quiddity.algebra import _fold
+from quiddity.algebra import _fold, is_gamma2_solution
 from quiddity.cli import main
 from quiddity.dissections import _OVER_F2, _Counts
 
@@ -60,7 +62,6 @@ def test_sweep_counterexamples_read_as_built_from_enumerated_dissections(n, monk
     # the theorems hold, so make each sweep's predicate reject everything;
     # the expected lines are the sweeps' own format strings applied to the
     # public stream, which is how they were built before the walk was read
-    monkeypatch.setattr(enumeration, "is_gamma2_solution", lambda q: False)
     monkeypatch.setattr(enumeration, "classify_pm_identity", lambda m: MatClass.OTHER)
 
     sets = list(enumerate_dissections(n, "34"))
@@ -170,7 +171,7 @@ def test_thm1i_names_the_failing_sets_when_pentagons_are_admitted(monkeypatch):
     for d in enumerate_dissections(9, "34", 12):
         sets += 1
         q = d.quiddity_mod2()
-        if not enumeration.is_gamma2_solution(q):
+        if not is_gamma2_solution(q):
             want.append(f"n=9: quiddity {format_seq(q)} of {d!r} is not a solution")
     report = theorem_sweep("thm1i", 9, 9)
     assert len(want) == 1044
@@ -216,3 +217,44 @@ def test_thm2_and_thm3_walk_only_for_the_converse_when_every_class_holds(monkeyp
     report = theorem_sweep(which, 3, 10, converse_hi=5)
     assert report.ok
     assert walked == [3, 4, 5]
+
+
+def _listed_class(q, modulus):
+    """The class the count keys a quiddity by: M(q) and the sum, reduced mod ``modulus`` (0: over Z)."""
+    if modulus:
+        return _fold(q, modulus), sum(q) % modulus
+    return _fold(q), sum(q)
+
+
+@pytest.mark.parametrize("which", ["thm1i", "thm2", "thm3"])
+def test_the_count_and_the_naming_walk_read_one_claim(which, monkeypatch):
+    # each real class in turn fails one added reason of the sweep's claim;
+    # the count must find it failing and the walk must name exactly its
+    # dissections (thm3: its distinct quiddities), or the report would carry
+    # a "counted as failing, k found" line
+    spec = enumeration._SPECS[which]
+    for n in range(3, 9):
+        base = theorem_sweep(which, n, n)
+        assert base.ok
+        readings = [
+            (d.quiddity_mod2() if spec.modulus else d.quiddity_cc(), d)
+            for d in enumerate_dissections(n, spec.kind, n)
+        ]
+        for key, count in _Counts(spec.kind, spec.modulus, n).classes(n):
+            m, total = key
+            rejected = classify_pm_identity(Mat2(*m)), total
+
+            def claim(c, t, k, rejected=rejected):
+                return spec.claim(c, t, k) + ["is rejected"] * ((c, t) == rejected)
+
+            monkeypatch.setitem(enumeration._SPECS, which, spec._replace(claim=claim))
+            report = theorem_sweep(which, n, n)
+            inside = [(q, d) for q, d in readings if _listed_class(q, spec.modulus) == key]
+            assert len(inside) == count
+            if which == "thm1i":
+                want = [f"n={n}: quiddity {format_seq(q)} of {d!r} is rejected" for q, d in inside]
+            elif which == "thm2":
+                want = [f"n={n}: triangulation quiddity {format_seq(q)} is rejected" for q, d in inside]
+            else:
+                want = [f"n={n}: quiddity {format_seq(q)} is rejected" for q in sorted({q for q, _ in inside})]
+            assert (report.checked, report.counterexamples) == (base.checked, tuple(want)), (n, key)
