@@ -106,7 +106,10 @@ class Dissection:
             raise DissectionError(f"'n' must be an integer, got {n!r}")
         pairs = set()
         for p in diagonals:
-            a, b = p
+            try:
+                a, b = p
+            except (TypeError, ValueError):
+                raise DissectionError(f"diagonal {p!r} is not a pair of vertices") from None
             if type(a) is not int or type(b) is not int:
                 raise DissectionError(f"diagonal endpoints must be integers, got {p!r}")
             pairs.add((a, b) if a < b else (b, a))
@@ -262,9 +265,7 @@ class Dissection:
             diagonals = data["diagonals"]
         except KeyError as exc:
             raise DissectionError(f"dissection JSON missing key {exc}") from None
-        if not isinstance(diagonals, list) or not all(
-            isinstance(p, (list, tuple)) and len(p) == 2 for p in diagonals
-        ):
+        if not isinstance(diagonals, list):
             raise DissectionError("'diagonals' must be a list of vertex pairs")
         return cls(n, diagonals)
 
@@ -408,25 +409,26 @@ class _Counts:
     (Flajolet-Sedgewick's decomposition by root cell).  With E(c) = T^c S,
     E(x + w) E(x)^-1 = T^w takes what the cell adds at a corner out of the
     entry there, so the cell closes to T^w h_1 S^-1 T^w h_2 ... S^-1 T^w
-    h_t S^-1 T^w S, with the parts' sums plus (t + 1) w.  A run of t parts
-    is kept as h_1 S^-1 T^w ... h_t.  Segments depend only on their length,
-    so one table by length, grown on demand, serves every polygon up to the
-    n-gon, whose class is the state of its segment 1..n.  ``kind`` and n
-    are checked as ``enumerate_dissections`` checks them; the sweeps hold n
-    to their count cap.  ``tests/seed_counts.py`` keeps the open-state
-    engine this one replaced, and ``tests/test_count_differential.py``
-    compares the two.
+    h_t S^-1 T^w S, with the parts' sums plus (t + 1) w.  A run of t parts,
+    h_1 S^-1 T^w ... h_t, is kept per weight w, for t up to the largest
+    cell of that weight less one: over Z one weight for every size, mod 2
+    the triangle apart from the larger cells.  One loop grows each weight
+    and closes its runs into cells where t + 1 is a size of that weight.
+    Segments depend only on their length, so one table by length, grown on
+    demand, serves every polygon up to the n-gon, whose class is the state
+    of its segment 1..n.  ``kind`` and n are checked as
+    ``enumerate_dissections`` checks them; the sweeps hold n to their count
+    cap.  ``tests/seed_counts.py`` keeps the open-state engine this one
+    replaced, and ``tests/test_count_differential.py`` compares the two.
     """
 
     def __init__(self, kind: str, modulus: int, n: int):
-        self.n, self._allowed = _cell_sizes(n, kind)
+        self.n, allowed = _cell_sizes(n, kind)
         self._modulus = modulus
         self._segments = {1: {_reduced((-1, 0, 0, -1), 0, modulus): 1}}  # by length: {(h, s): count}
-        # runs[t][length]: t segments side by side under a cell of 4 or more
-        # corners, for t up to the largest such cell's ``most`` segments
-        self._runs = {1: self._segments}
-        largest = max(self._allowed)
-        self._most = largest - 1 if largest > 3 else 1
+        by_weight = {1: allowed} if modulus == _OVER_Z else {1: {3}, 0: allowed - {3}}
+        # runs[w] = (the sizes of weight w, {t: {length: run of t segments}})
+        self._runs = {w: (sizes, {1: self._segments}) for w, sizes in by_weight.items() if sizes}
 
     def _join(self, left: dict, x: int, w: int, out: dict) -> None:
         """Add each run of ``left`` times S^-1 T^w times each segment of length x to ``out``."""
@@ -447,21 +449,14 @@ class _Counts:
 
     def _grow(self) -> None:
         length = len(self._segments) + 1
-        triangle, polygon = 1, int(self._modulus == _OVER_Z)
         closed = {}
-        for t in range(2, min(self._most, length) + 1):
-            self._runs.setdefault(t, {})[length] = run = {}
-            for x in range(1, length - t + 2):
-                self._join(self._runs[t - 1][length - x], x, polygon, run)
-            if t > 2 and t + 1 in self._allowed:  # triangles close below
-                self._close(run, polygon, closed)
-        if triangle == polygon and self._most > 1:
-            triangles = self._runs[2][length]
-        else:
-            triangles = {}
-            for x in range(1, length):
-                self._join(self._segments[length - x], x, triangle, triangles)
-        self._close(triangles, triangle, closed)  # every kind allows them
+        for w, (sizes, runs) in self._runs.items():
+            for t in range(2, min(max(sizes) - 1, length) + 1):
+                runs.setdefault(t, {})[length] = run = {}
+                for x in range(1, length - t + 2):
+                    self._join(runs[t - 1][length - x], x, w, run)
+                if t + 1 in sizes:
+                    self._close(run, w, closed)
         self._segments[length] = closed
 
     def classes(self, n: int) -> list:

@@ -143,3 +143,24 @@ def test_six_state_transfer_count_is_jacobsthal():
                 step[_MOD2_STEPS[s][e]] += w
         ways = step
         assert ways[0] == jacobsthal_count(n), n
+
+
+@pytest.mark.parametrize("kind, modulus", [("34", _OVER_F2), ("triangulation", _OVER_Z)])
+def test_count_table_work_grows_quadratically(kind, modulus, monkeypatch):
+    # runs of t segments are kept only up to the largest cell of their weight,
+    # so doubling n about quadruples the joins; keeping every t <= n makes
+    # the table cubic (8x).  3d over Z keeps every t by design, so it is left out.
+    join = _Counts._join
+    calls = []
+
+    def counted(self, *args):
+        calls.append(None)
+        return join(self, *args)
+
+    monkeypatch.setattr(_Counts, "_join", counted)
+    joins = []
+    for n in (30, 60):
+        calls.clear()
+        _Counts(kind, modulus, n).classes(n)
+        joins.append(len(calls))
+    assert joins[1] <= 5 * joins[0], joins

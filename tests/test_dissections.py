@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 
 import pytest
 
@@ -54,6 +55,13 @@ def test_validate_rejects_bad_diagonals():
         Dissection(5, [(1, 5)])
     with pytest.raises(DissectionError):
         Dissection(2)
+
+
+@pytest.mark.parametrize("item", [5, None, (1, 2, 3)])
+@pytest.mark.parametrize("check", [True, False])
+def test_constructor_rejects_a_diagonal_that_is_not_a_pair(item, check):
+    with pytest.raises(DissectionError, match=re.escape(f"diagonal {item!r} is not a pair")):
+        Dissection(5, [(1, 3), item], check=check)
 
 
 def test_diagonals_are_normalized():
@@ -240,8 +248,10 @@ def test_json_rejects_bad_input():
         Dissection.from_json('{"n": 4}')
     with pytest.raises(DissectionError):
         Dissection.from_json('{"schema": 2, "n": 4, "diagonals": []}')
-    with pytest.raises(DissectionError):
+    with pytest.raises(DissectionError, match=re.escape("diagonal [1, 2, 3] is not a pair")):
         Dissection.from_json('{"n": 4, "diagonals": [[1, 2, 3]]}')
+    with pytest.raises(DissectionError, match="must be a list"):
+        Dissection.from_json('{"n": 4, "diagonals": {"1": 3}}')
     with pytest.raises(CrossingDiagonals):
         Dissection.from_json('{"n": 4, "diagonals": [[1, 3], [2, 4]]}')
 
