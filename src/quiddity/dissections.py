@@ -106,10 +106,9 @@ class Dissection:
             raise DissectionError(f"'n' must be an integer, got {n!r}")
         pairs = set()
         for p in diagonals:
-            try:
-                a, b = p
-            except (TypeError, ValueError):
-                raise DissectionError(f"diagonal {p!r} is not a pair of vertices") from None
+            if not isinstance(p, (tuple, list)) or len(p) != 2:
+                raise DissectionError(f"diagonal {p!r} is not a pair of vertices")
+            a, b = p
             if type(a) is not int or type(b) is not int:
                 raise DissectionError(f"diagonal endpoints must be integers, got {p!r}")
             pairs.add((a, b) if a < b else (b, a))

@@ -20,6 +20,16 @@ Desnanot-Jacobi, K(i..j) K(i+1..j+1) - K(i..j+1) K(i+1..j) = 1, so
 continuants satisfy the rule, and a positive north fixes its south.  If
 every earlier diamond holds, the rows above are continuant rows and a
 diamond fails exactly where its south differs from the recurrence's.
+
+A closed frieze (M(c) = -Id) is invariant under a glide reflection: with
+0-based rows, row t is row n - 2 - t rotated right by n - 1 - t places.
+Glide images of continuant rows satisfy the diamond rule too, so once rows
+h - 1 and h (h = n // 2) equal their images, a positive north fixes every
+later south and the rows past h are the images of the rows above, positive
+and ending in ones.  Construction computes rows 0..h and copies the rest
+when this seam holds; validation checks rows 2..h by the recurrence and
+the rest against their images.  A valid frieze always has the seam; on any
+mismatch both fall back to the row-by-row loop, which raises every error.
 """
 
 from dataclasses import dataclass
@@ -85,6 +95,17 @@ def _next_row(q, prev, cur, r: int) -> tuple:
     return tuple([c * x - y for c, x, y in zip(q[s:] + q[:s], cur, prev)])
 
 
+def _glide(rows, n: int, t: int):
+    """Image of row t under the glide: row n - 2 - t rotated right by n - 1 - t."""
+    row, s = rows[n - 2 - t], (t + 1) % n
+    return row[s:] + row[:s]
+
+
+def _seam(rows, n: int) -> bool:
+    """True iff rows h - 1 and h, h = n // 2, equal their glide images."""
+    return all(rows[t] == _glide(rows, n, t) for t in (n // 2 - 1, n // 2))
+
+
 def build_frieze(quiddity) -> FriezePattern:
     """Grow the pattern from a quiddity row; raise a FriezeError on failure."""
     q = as_int_seq(quiddity)
@@ -94,6 +115,9 @@ def build_frieze(quiddity) -> FriezePattern:
     ones = (1,) * n
     rows: list[tuple[int, ...]] = [ones, q]
     for r in range(2, n - 1):
+        if r == n // 2 + 1 and _seam(rows, n):
+            rows += [_glide(rows, n, t) for t in range(r, n - 1)]
+            break
         new = _next_row(q, rows[-2], rows[-1], r)
         if min(new) <= 0:
             k = next(k for k, value in enumerate(new) if value <= 0)
@@ -123,10 +147,12 @@ def validate_frieze(f: FriezePattern) -> None:
                 raise BorderViolation(r, k + 1)
     # with positive entries and ones on the borders, a row equal to the
     # recurrence's is one whose diamonds all hold (see the module docstring)
-    q = f.rows[1]
+    q, rows = f.rows[1], f.rows
     for r in range(2, n - 1):
-        nxt = tuple(f.rows[r])
-        want = _next_row(q, f.rows[r - 2], f.rows[r - 1], r)
+        if r == n // 2 + 1 and _seam(rows, n) and all(rows[t] == _glide(rows, n, t) for t in range(r, n - 1)):
+            return
+        nxt = tuple(rows[r])
+        want = _next_row(q, rows[r - 2], rows[r - 1], r)
         if nxt != want:
             raise DiamondViolation(r, next(k for k in range(n) if nxt[k] != want[k]) + 1)
 

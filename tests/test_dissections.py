@@ -57,7 +57,7 @@ def test_validate_rejects_bad_diagonals():
         Dissection(2)
 
 
-@pytest.mark.parametrize("item", [5, None, (1, 2, 3)])
+@pytest.mark.parametrize("item", [5, None, (1, 2, 3), {1: 0, 3: 0}, {1, 3}, (v for v in (1, 3))])
 @pytest.mark.parametrize("check", [True, False])
 def test_constructor_rejects_a_diagonal_that_is_not_a_pair(item, check):
     with pytest.raises(DissectionError, match=re.escape(f"diagonal {item!r} is not a pair")):

@@ -9,17 +9,21 @@ value and message.
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 import seed_frieze as seed
 from quiddity import (
+    MAT_MINUS_IDENTITY,
     BorderViolation,
     DiamondViolation,
     FriezePattern,
     NonPositiveEntry,
     build_frieze,
     enumerate_dissections,
+    frieze,
+    m_product,
     validate_frieze,
 )
 
@@ -125,3 +129,77 @@ def test_rows_given_as_lists_match_seed():
                 for value in _bumps(rows[r][k]):
                     f = FriezePattern(n, _perturbed(listed, r, k, value, as_list=True))
                     assert _same_validation(f) == _same_validation(FriezePattern(n, _perturbed(rows, r, k, value)))
+
+
+def _glide_image(rows, n, t):
+    """Row n - 2 - t rotated right by n - 1 - t: row t of a closed frieze."""
+    row, s = rows[n - 2 - t], (t + 1) % n
+    return row[s:] + row[:s]
+
+
+def test_glide_images_of_half_a_non_closed_frieze_match_seed():
+    # rows 0..n // 2 are the continuant rows of q and the rest their glide
+    # images; q is not closed, so the seam between the two halves fails and
+    # validation must raise exactly where the seed does
+    rng = random.Random(22)
+    raised = Counter()
+    for n in range(4, 12):
+        for _ in range(300):
+            q = tuple(rng.randint(1, 4) for _ in range(n))
+            if m_product(q) == MAT_MINUS_IDENTITY:
+                continue
+            rows = [(1,) * n, q]
+            for t in range(2, n // 2 + 1):
+                rows.append(tuple(q[(k + t - 1) % n] * rows[t - 1][k] - rows[t - 2][k] for k in range(n)))
+            rows += [_glide_image(rows, n, t) for t in range(n // 2 + 1, n - 1)]
+            got = _same_validation(FriezePattern(n, tuple(rows)))
+            assert got is not None, q
+            raised[got[0]] += 1
+    # most fakes are positive with borders of ones and fail a diamond past the seam
+    assert raised[DiamondViolation] > 800 and set(raised) == {DiamondViolation, NonPositiveEntry, BorderViolation}
+
+
+def test_glide_symmetric_perturbations_match_seed():
+    # an entry and its glide image changed together keep the rows past the
+    # middle equal to their images, so only the seam and the recurrence see it
+    rng = random.Random(23)
+    for n in range(4, 11):
+        ds = list(enumerate_dissections(n, "triangulation", n))
+        for d in rng.sample(ds, min(len(ds), 8)):
+            rows = build_frieze(d.quiddity_cc()).rows
+            for t, k in itertools.product(range(n - 1), range(n)):
+                for value in _bumps(rows[t][k]):
+                    new = _perturbed(rows, t, k, value, as_list=True)
+                    new[n - 2 - t][(k + t + 1) % n] = value
+                    assert _same_validation(FriezePattern(n, tuple(map(tuple, new)))) is not None, (rows, t, k, value)
+
+
+def test_sampled_builds_match_seed():
+    rng = random.Random(24)
+    raised = set()
+    for n in range(8, 13):
+        for _ in range(400):
+            raised.add(_same_build(tuple(rng.randint(1, 5) for _ in range(n)))[0])
+        for _ in range(20):
+            q = _triangulation_quiddity(rng, n)
+            assert isinstance(_same_build(q), FriezePattern)
+            k = rng.randrange(n)
+            for step in (1, -1):
+                _same_build(q[:k] + (q[k] + step,) + q[k + 1:])
+    assert raised == {NonPositiveEntry, BorderViolation}
+
+
+def test_closed_friezes_compute_half_the_rows(monkeypatch):
+    calls = []
+    row_kernel = frieze._next_row
+    monkeypatch.setattr(frieze, "_next_row", lambda *args: calls.append(args[-1]) or row_kernel(*args))
+    n = 200
+    q = _triangulation_quiddity(random.Random(25), n)
+    f = _same_build(q)
+    assert isinstance(f, FriezePattern) and 0 < len(calls) <= n // 2
+    calls.clear()
+    assert _same_validation(f) is None and 0 < len(calls) <= n // 2
+    # a raised entry leaves no seam: every row is computed, the last one fails
+    calls.clear()
+    assert _same_build((q[0] + 1,) + q[1:])[0] is BorderViolation
+    assert len(calls) == n - 3
