@@ -349,10 +349,17 @@ def as_mod2_seq(entries) -> Mod2Seq:
     return seq
 
 
+def _decimal(text: str) -> str:
+    """``text`` if ASCII with no "_": ``int`` then reads [+-]?[0-9]+ only, not "1_0" or other scripts' digits."""
+    if not text.isascii() or "_" in text:
+        raise ValueError("entries must be ASCII decimal integers")
+    return text
+
+
 def parse_int_seq(text: str) -> IntSeq:
     """Parse a comma-separated sequence of positive integers, e.g. ``1,3,1,2,2``."""
     try:
-        return as_int_seq(int(part.strip()) for part in text.split(","))
+        return as_int_seq(int(part.strip()) for part in _decimal(text).split(","))
     except ValueError as exc:
         raise ValueError(f"cannot parse integer sequence {text!r}: {exc}") from None
 
@@ -360,7 +367,7 @@ def parse_int_seq(text: str) -> IntSeq:
 def parse_mod2_seq(text: str) -> Mod2Seq:
     """Parse a comma-separated sequence over {0, 1}, e.g. ``0,1,0,1``."""
     try:
-        return as_mod2_seq(int(part.strip()) for part in text.split(","))
+        return as_mod2_seq(int(part.strip()) for part in _decimal(text).split(","))
     except ValueError as exc:
         raise ValueError(f"cannot parse mod-2 sequence {text!r}: {exc}") from None
 

@@ -26,6 +26,7 @@ import sys
 from .algebra import (
     Mat2Mod,
     MatClass,
+    _decimal,
     classify_pm_identity,
     format_seq,
     m_product,
@@ -56,10 +57,8 @@ _SWEEPS = {
 
 def _env_cap(name: str, default: int) -> int:
     value = os.environ.get(name)
-    if value is None:
-        return default
     try:
-        return int(value)
+        return default if value is None else int(_decimal(value))
     except ValueError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
@@ -143,6 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(run=_cmd_enumerate)
 
+    # type=int reads only ASCII decimals, and a bad value is still an "invalid int value"
+    for p in sub.choices.values():
+        p.register("type", int, lambda text: int(_decimal(text)))
     return parser
 
 

@@ -97,11 +97,11 @@ def _crosses(p: tuple[int, int], q: tuple[int, int]) -> bool:
 
 
 class Dissection:
-    """A convex n-gon with a set of pairwise non-crossing diagonals."""
+    """A convex n-gon with non-crossing diagonals: checked, sorted and validated, unless ``_trusted``."""
 
     __slots__ = ("_n", "_diagonals", "_cells")
 
-    def __init__(self, n: int, diagonals=(), check: bool = True):
+    def __init__(self, n: int, diagonals=()):
         if type(n) is not int:
             raise DissectionError(f"'n' must be an integer, got {n!r}")
         pairs = set()
@@ -112,22 +112,14 @@ class Dissection:
             if type(a) is not int or type(b) is not int:
                 raise DissectionError(f"diagonal endpoints must be integers, got {p!r}")
             pairs.add((a, b) if a < b else (b, a))
-        self._n = n
-        self._diagonals = tuple(sorted(pairs))
-        if check:
-            self.validate()
+        self._n, self._diagonals = n, tuple(sorted(pairs))
+        self.validate()
 
     @classmethod
     def _trusted(cls, n: int, diagonals: tuple[tuple[int, int], ...]) -> "Dissection":
-        """Take sorted int pairs (i, j), i < j, skipping ``__init__``'s checks; validate once.
-
-        A repeat crosses nothing, so ``validate`` passes it: the pairs must strictly increase.
-        """
+        """Set the slots to n and strictly increasing int pairs (i, j), i < j, checking nothing."""
         self = cls.__new__(cls)
         self._n, self._diagonals = n, diagonals
-        if any(map(operator.ge, diagonals, diagonals[1:])):
-            raise DissectionError("diagonals must be strictly increasing, with no repeat")
-        self.validate()
         return self
 
     @property
@@ -152,23 +144,26 @@ class Dissection:
     def validate(self) -> None:
         """Check all invariants; raise a DissectionError subclass on failure.
 
-        Non-crossing diagonals nest like parentheses: sorted by left end
-        ascending and right end descending, each must close before, or
-        inside, the innermost one still open.  That is O(n + d log d).  On a
-        failure the first crossing pair in lexicographic order is named, in
-        O(d log d): a later diagonal crosses (a, b) exactly when its left
-        end lies strictly between a and b and its right end past b, so a
-        sparse table of range maxima over the right ends finds the first
-        (a, b) with such a partner.
+        The pairs must strictly increase, as the constructor sorts them: a
+        repeat crosses nothing, so no later check would see it.  Non-crossing
+        diagonals nest like parentheses: sorted by left end ascending and
+        right end descending, each must close before, or inside, the
+        innermost one still open.  That is O(n + d log d).  On a failure the
+        first crossing pair in lexicographic order is named, in O(d log d): a
+        later diagonal crosses (a, b) exactly when its left end lies strictly
+        between a and b and its right end past b, so a sparse table of range
+        maxima over the right ends finds the first (a, b) with such a partner.
         """
+        ds = self._diagonals
+        if any(map(operator.ge, ds, ds[1:])):
+            raise DissectionError("diagonals must be strictly increasing, with no repeat")
         if self._n < 3:
             raise DissectionError(f"a polygon needs at least 3 vertices, got n={self._n}")
-        for i, j in self._diagonals:
+        for i, j in ds:
             if not (1 <= i < j <= self._n):
                 raise DiagonalOutOfRange((i, j))
             if j - i < 2 or (i == 1 and j == self._n):
                 raise SideAsDiagonal((i, j))
-        ds = self._diagonals
         open_rights: list[int] = []
         # ds is sorted, so a stable sort of it reversed by left end alone puts
         # equal left ends in descending order of right end
@@ -339,7 +334,7 @@ def enumerate_dissections(
                 break
             inner = right
         else:
-            yield Dissection(n, tuple(chosen), check=False)
+            yield Dissection._trusted(n, tuple(chosen))
         passed = []
         while True:
             hi = stack[base - 1][0] if v > 1 else n - 1

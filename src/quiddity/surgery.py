@@ -24,12 +24,12 @@ scan pointer: removing the smallest 1 at index i can create a new 1 only
 at index i - 1, or at 0 when the pivot was last.  ``_glue`` keeps the
 polygon as a cyclic list of stable vertex ids, so labels are assigned
 once at the end, by a list indexed by id.  The glued edges become
-(min, max) label pairs, sorted once, and ``Dissection._trusted`` takes
-them without the per-pair checks of ``Dissection(...)`` and validates the
-finished dissection once: every intermediate polygon is a sub-dissection
-of it.  Both lists are kept reversed, so a delete or insert at index i
-of the sequence moves the i entries before it rather than the n - i
-after it; the pivot rule keeps i small.  Step indices count 1-based from
+(min, max) label pairs, sorted once; ``Dissection._trusted`` takes them
+with no check, and one ``validate`` of the finished dissection, repeats
+included, stands for every intermediate polygon, a sub-dissection of it.
+Both lists are kept reversed, so a delete or insert at index i of the
+sequence moves the i entries before it rather than the n - i after it;
+the pivot rule keeps i small.  Step indices count 1-based from
 the start of the sequence.
 
 Matrix invariance of ``alpha``/``op_a`` is a local two-factor identity, so
@@ -105,10 +105,7 @@ class NotASolution(SurgeryError):
 
     def __init__(self, remainder: Mod2Seq):
         self.remainder = tuple(remainder)
-        super().__init__(
-            f"not a solution: reduces to {format_seq(self.remainder)}, "
-            f"expected 0,0 or 1,1,1"
-        )
+        super().__init__(f"not a solution: reduces to {format_seq(self.remainder)}, expected 0,0 or 1,1,1")
 
 
 class AllEven(SurgeryError):
@@ -184,10 +181,7 @@ def beta(seq, i: int, split: tuple[int, int] | None = None) -> IntSeq:
         raise InvalidSplit(f"split {split} must have exactly two parts")
     left, right = map(operator.index, split)
     if left < 1 or right < 1 or left + right != c + 1:
-        raise InvalidSplit(
-            f"split {split} invalid for entry {c}: parts must be positive "
-            f"and sum to {c + 1}"
-        )
+        raise InvalidSplit(f"split {split} invalid for entry {c}: parts must be positive and sum to {c + 1}")
     return s[: i - 1] + (left, 1, 1, right) + s[i:]
 
 
@@ -409,9 +403,9 @@ def _realize(seq, triangulate: bool) -> Dissection:
 
     A triangulation reduces with ``keep_odd``, so ``is_gamma2_solution``
     decides first; only a non-solution runs the smallest-1 reduction, whose
-    remainder ``NotASolution`` names.  The glued edges go to
-    ``Dissection._trusted`` as sorted (min, max) label pairs; its one
-    ``validate`` checks the whole result.
+    remainder ``NotASolution`` names.  The glued edges go to the unchecked
+    ``Dissection._trusted`` as sorted (min, max) label pairs, and one
+    ``validate`` then checks the whole result, a repeated pair included.
     """
     s = as_mod2_seq(seq)
     if len(s) < 3:
@@ -435,9 +429,10 @@ def _realize(seq, triangulate: bool) -> Dissection:
     label = [0] * len(order)
     for position, v in enumerate(order, 1):
         label[v] = position
-    pairs = [(i, j) if (i := label[a]) < (j := label[b]) else (j, i) for a, b in edges]
-    pairs.sort()
-    return Dissection._trusted(len(order), tuple(pairs))
+    pairs = sorted([(i, j) if (i := label[a]) < (j := label[b]) else (j, i) for a, b in edges])
+    d = Dissection._trusted(len(order), tuple(pairs))
+    d.validate()
+    return d
 
 
 def realize_dissection(seq) -> Dissection:

@@ -91,7 +91,7 @@ def enumerate_dissections(n: int, kind: str = "all"):
     chosen: list[tuple[int, int]] = []
 
     def rec(start: int):
-        d = Dissection(n, tuple(chosen), check=False)
+        d = Dissection._trusted(n, tuple(chosen))  # lex order: sorted, no repeat
         if kind == "all" or kind_ok(classify(d), kind):
             yield d
         for k in range(start, len(candidates)):

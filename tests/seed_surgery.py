@@ -36,8 +36,13 @@ def pairwise_validate(d: Dissection) -> None:
                 raise CrossingDiagonals(ds[x], ds[y])
 
 
+def unchecked(n: int, diagonals) -> Dissection:
+    """The pairs as (min, max), sorted with no repeat, as ``Dissection(n, diagonals)`` has them, not validated."""
+    return Dissection._trusted(n, tuple(sorted({(min(p), max(p)) for p in diagonals})))
+
+
 def _checked(n: int, diagonals) -> Dissection:
-    d = Dissection(n, diagonals, check=False)
+    d = unchecked(n, diagonals)
     pairwise_validate(d)
     return d
 

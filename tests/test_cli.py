@@ -284,6 +284,41 @@ def test_non_integer_cap_is_a_usage_error(capsys, monkeypatch, name):
     assert err == f"quiddity: {name} must be an integer, got 'twelve'\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "1_0,2", "--pm"),
+    ("check-mod2", "0_1,1"),
+    ("check", "\u0661,\u0661,\u0661", "--pm"),
+    ("frieze", "1,3,1,2,\uff12"),
+])
+def test_sequence_entries_are_ascii_decimals(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("quiddity: cannot parse ") and err.endswith(": entries must be ASCII decimal integers\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "1_0", "--sweep", "thm1i"),
+    ("enumerate", "\u0667"),
+    ("check", "1,1,1", "--mod", "1_0"),
+    ("check", "1,1,1", "--mod", "\uff12"),
+])
+def test_integer_arguments_are_ascii_decimals(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    bad = next(arg for arg in argv if "_" in arg or not arg.isascii())
+    assert f"invalid int value: {bad!r}" in err
+
+
+@pytest.mark.parametrize("value", ["1_2", "\uff11\uff12"])
+def test_cap_is_read_as_an_ascii_decimal(capsys, monkeypatch, value):
+    monkeypatch.setenv("QUIDDITY_POLYGON_CAP", value)
+    code, out, err = run(capsys, "check", "1,1,1", "--pm")
+    assert (code, out) == (2, "")
+    assert err == f"quiddity: QUIDDITY_POLYGON_CAP must be an integer, got {value!r}\n"
+    monkeypatch.setenv("QUIDDITY_POLYGON_CAP", " 12 ")
+    assert run(capsys, "check", "1,1,1", "--pm")[0] == 0
+
+
 def test_batch_file_input(tmp_path, capsys):
     batch = tmp_path / "seqs.txt"
     batch.write_text("1,1,1\n# comment\n2,2\n")

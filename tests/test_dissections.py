@@ -58,10 +58,12 @@ def test_validate_rejects_bad_diagonals():
 
 
 @pytest.mark.parametrize("item", [5, None, (1, 2, 3), {1: 0, 3: 0}, {1, 3}, (v for v in (1, 3))])
-@pytest.mark.parametrize("check", [True, False])
-def test_constructor_rejects_a_diagonal_that_is_not_a_pair(item, check):
+@pytest.mark.parametrize("crossing", [True, False])
+def test_constructor_rejects_a_diagonal_that_is_not_a_pair(item, crossing):
+    # every pair is read before validate runs, so a crossing does not hide the bad item
+    others = [(1, 3), (2, 4)] if crossing else [(1, 3)]
     with pytest.raises(DissectionError, match=re.escape(f"diagonal {item!r} is not a pair")):
-        Dissection(5, [(1, 3), item], check=check)
+        Dissection(5, [*others, item])
 
 
 def test_diagonals_are_normalized():
@@ -217,6 +219,11 @@ def test_enumerate_is_lazy_and_builds_only_what_it_yields(monkeypatch):
             built.append(args)
             super().__init__(*args, **kwargs)
 
+        @classmethod
+        def _trusted(cls, *args):  # the walk's build path
+            built.append(args)
+            return super()._trusted(*args)
+
     monkeypatch.setattr(dissections_module, "Dissection", Counted)
     # the first triangulation in lex order is the fan from vertex 1
     fan = Dissection(13, [(1, j) for j in range(3, 13)])
@@ -279,11 +286,12 @@ def test_json_rejects_non_integer_values(text):
 
 
 @pytest.mark.parametrize("text", NON_INTEGER_JSON.values(), ids=NON_INTEGER_JSON.keys())
-@pytest.mark.parametrize("check", [True, False])
-def test_constructor_rejects_non_integer_values(text, check):
+@pytest.mark.parametrize("crossing", [True, False])
+def test_constructor_rejects_non_integer_values(text, crossing):
     data = json.loads(text)
+    others = [[1, 3], [2, 4]] if crossing else []
     with pytest.raises(DissectionError, match="must be an integer|must be integers"):
-        Dissection(data["n"], data["diagonals"], check=check)
+        Dissection(data["n"], [*others, *data["diagonals"]])
 
 
 def test_to_dot():

@@ -7,7 +7,7 @@ its unicode tables.
 
 import json
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quiddity import (
     Dissection,
@@ -28,6 +28,14 @@ _SEQUENCE_TEXTS = st.text(alphabet="0123456789,-+_x. \t", max_size=16) | st.list
     st.sampled_from(["0", "1", "2", " 1", "0 ", "+1", "01", "-1", ""]), min_size=1, max_size=8
 ).map(",".join)
 _WORD_TEXTS = st.text(alphabet="TS^-1' \tx", max_size=12)
+# entries that ``int`` reads but the parsers must not: digit groups joined by
+# "_", digits of other scripts (Arabic-Indic, fullwidth, double-struck) and
+# non-ASCII spaces, among plain ASCII entries
+_DIGIT_GROUPS = st.lists(st.text(alphabet="0112\u0661\u0660\uff11\U0001d7d9", min_size=1, max_size=2), min_size=1, max_size=2)
+_STRICT_ENTRIES = st.tuples(
+    st.sampled_from(["", "+", "-", " ", "\t", "\u00a0"]), _DIGIT_GROUPS.map("_".join), st.sampled_from(["", " ", "\u2003"])
+).map("".join)
+_STRICT_TEXTS = st.lists(_STRICT_ENTRIES, min_size=1, max_size=4).map(",".join) | _SEQUENCE_TEXTS
 
 _KEYS = st.sampled_from(["n", "diagonals", "schema", "base", "steps", "kind", "index"]) | st.text(
     alphabet="nbd\\\"é", max_size=3
@@ -93,6 +101,23 @@ def test_sequence_parsers_parse_or_raise_value_error(text):
         pass
     else:
         assert seq and set(seq) <= {0, 1}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_STRICT_TEXTS)
+@example("1_0,2")
+@example("0_1,1")
+@example("\u0661,\u0661,\u0661")
+def test_sequence_parsers_read_ascii_decimal_entries_only(text):
+    foreign = "_" in text or any(c.isdecimal() and not c.isascii() for c in text)
+    for parse in (parse_int_seq, parse_mod2_seq):
+        try:
+            seq = parse(text)
+        except ValueError:
+            continue
+        assert not foreign, (parse.__name__, text, seq)
+        if text.isascii():
+            assert seq == tuple(int(p) for p in text.split(",")), (parse.__name__, text)
 
 
 @settings(max_examples=200, deadline=None)

@@ -63,11 +63,11 @@ def _random_solution(n, seed_value):
 
 
 def _validate(n, diagonals):
-    return Dissection(n, diagonals, check=False).validate()
+    return seed.unchecked(n, diagonals).validate()
 
 
 def _reference_validate(n, diagonals):
-    return seed.pairwise_validate(Dissection(n, diagonals, check=False))
+    return seed.pairwise_validate(seed.unchecked(n, diagonals))
 
 
 def _crossing_pair(fn, n, diagonals):

@@ -1,17 +1,20 @@
-"""Realization builds its ``Dissection`` through the trusted constructor.
+"""Realization and the dissection walk build through the unchecked ``Dissection._trusted``.
 
 The realized object must be the one the checked constructor builds, and
-the single ``validate`` plus the strictly-increasing check must catch a
-faulty ``_glue``.  Also: ``cells`` walks once per object.
+its single ``validate``, which also requires strictly increasing pairs,
+must catch a faulty ``_glue``.  The walk yields sets that need no check,
+so it runs neither ``__init__`` nor ``validate``.  Also: ``cells`` walks
+once per object.
 """
 
 import pytest
 
 from quiddity import dissections, surgery
-from quiddity import Dissection, realize_dissection, realize_triangulation, solutions_gamma2
+from quiddity import Dissection, enumerate_dissections, realize_dissection, realize_triangulation, solutions_gamma2
 from quiddity.dissections import CrossingDiagonals, DissectionError, SideAsDiagonal
 
 REALIZERS = [realize_dissection, realize_triangulation]
+KINDS = ("all", "triangulation", "34", "3d")
 
 
 def _realizations(realize, n_hi):
@@ -59,6 +62,20 @@ def test_each_realization_validates_once_and_never_runs_init(realize, monkeypatc
         validated.clear()
 
 
+def test_the_walk_runs_neither_init_nor_validate(monkeypatch):
+    calls = []
+    monkeypatch.setattr(Dissection, "validate", lambda self: calls.append("validate"))
+    monkeypatch.setattr(Dissection, "__init__", lambda self, *args: calls.append("__init__"))
+    walked = {(n, kind): list(enumerate_dissections(n, kind)) for n in range(3, 10) for kind in KINDS}
+    assert calls == []
+    monkeypatch.undo()
+    assert sum(map(len, walked.values())) == 10_630
+    for (n, kind), sets in walked.items():
+        for d in sets:
+            assert all(p < q for p, q in zip(d.diagonals, d.diagonals[1:])), (n, kind, d)
+            assert d == Dissection(n, d.diagonals) and d.n == n, (n, kind, d)
+
+
 # the last solution of length 9 with an odd entry, realized with several diagonals
 SEQ = next(s for s in reversed(solutions_gamma2(9)) if 1 in s)
 
@@ -104,22 +121,38 @@ def test_a_faulty_glue_raises_instead_of_returning(realize, name, monkeypatch):
         realize(SEQ)
 
 
-@pytest.mark.parametrize("diagonals", [
-    ((1, 3), (1, 3)),
-    ((1, 4), (1, 3)),
-    ((2, 4), (1, 3), (1, 4)),
+REPEAT = "diagonals must be strictly increasing, with no repeat"
+
+
+def test_validate_rejects_pairs_that_do_not_strictly_increase():
+    for diagonals in [((1, 3), (1, 3)), ((1, 4), (1, 3)), ((2, 4), (1, 3), (1, 4))]:
+        d = Dissection._trusted(6, diagonals)
+        assert d.diagonals is diagonals
+        with pytest.raises(DissectionError, match=REPEAT):
+            d.validate()
+
+
+@pytest.mark.parametrize("n, diagonals", [
+    (2, ((1, 3), (1, 3))),  # too few vertices
+    (6, ((1, 9), (1, 9))),  # out of range
+    (6, ((1, 2), (1, 2))),  # a side
+    (6, ((1, 4), (2, 5), (2, 5))),  # crossing
 ])
-def test_trusted_constructor_rejects_pairs_that_do_not_strictly_increase(diagonals):
-    with pytest.raises(DissectionError):
-        Dissection._trusted(6, diagonals)
+def test_validate_names_a_repeat_before_any_other_fault(n, diagonals):
+    with pytest.raises(DissectionError, match=REPEAT) as err:
+        Dissection._trusted(n, diagonals).validate()
+    assert type(err.value) is DissectionError
 
 
-def test_trusted_constructor_validates():
-    assert Dissection._trusted(6, ((1, 3), (1, 4))) == Dissection(6, [(4, 1), (1, 3)])
+def test_trusted_build_is_checked_by_validate():
+    d = Dissection._trusted(6, ((1, 3), (1, 4)))
+    d.validate()
+    assert d == Dissection(6, [(4, 1), (1, 3)])
+    crossing, side = Dissection._trusted(6, ((1, 4), (2, 5))), Dissection._trusted(6, ((1, 2),))
     with pytest.raises(CrossingDiagonals):
-        Dissection._trusted(6, ((1, 4), (2, 5)))
+        crossing.validate()
     with pytest.raises(SideAsDiagonal):
-        Dissection._trusted(6, ((1, 2),))
+        side.validate()
 
 
 def test_cells_walks_once_and_leaves_identity_alone(monkeypatch):
