@@ -4,14 +4,14 @@ The central object is the left-to-right product
 
     M(c_1, ..., c_n) = [[c_1, -1], [1, 0]] ... [[c_n, -1], [1, 0]].
 
-One fold, ``_fold``, computes every such product on a plain int 4-tuple,
-over the integers or reduced mod N after each step; the value types
-``Mat2`` (exact bignum entries) and ``Mat2Mod`` (canonical residues in
-``Z/NZ``) are built only at the API boundary.  Over the integers a word
-longer than ``_LEAF`` entries is folded block by block and the block
-products are multiplied pairwise in a balanced tree, so the big
-multiplications are between operands of equal size (where CPython uses
-Karatsuba) and 10^5 entries take tens of milliseconds, not a second.
+``_fold`` computes every such product on a plain int 4-tuple; ``Mat2``
+(exact) and ``Mat2Mod`` (residues in ``Z/NZ``) are built only at the API
+boundary.  Mod N <= ``_TABLE_BOUND`` it walks ``_steps(N)``, the cached
+Cayley table of SL(2, Z/N).  Otherwise ``_kernel`` folds blocks of ``_LEAF``
+entries, and the block products are multiplied pairwise in a balanced tree,
+so big operands are of equal size (Karatsuba in CPython) and 10^5 entries
+take tens of milliseconds, not a second; mod a larger N they are reduced
+and multiplied left to right.
 Entries, moduli and the sequences frozen by ``as_int_seq``/``as_mod2_seq``
 are read with ``operator.index``, so floats and strings raise
 ``TypeError``.
@@ -26,6 +26,7 @@ subscripts ``c_1, ..., c_n``.
 """
 
 import enum
+import functools
 import operator
 from dataclasses import dataclass
 
@@ -135,22 +136,37 @@ def elementary_matrix(c: int) -> Mat2:
     return Mat2(c, -1, 1, 0)
 
 
-def _fold(entries, modulus=None) -> tuple[int, int, int, int]:
-    """M(entries) as (a, b, c, d), reduced mod ``modulus`` after each step if given.
-
-    Each factor maps (a, b, c, d) to (a*e + b, -a, c*e + d, -c).
-    """
-    a, b, c, d = 1, 0, 0, 1
-    for e in map(operator.index, entries):
-        a, b, c, d = a * e + b, -a, c * e + d, -c
-        if modulus:
-            a, b, c, d = a % modulus, b % modulus, c % modulus, d % modulus
-    return a, b, c, d
-
-
-# entries per leaf of the product tree in m_product; a word of at most this
-# many entries is a tree of one leaf
+# entries per leaf of the product tree; a word of at most this many
+# entries is a tree of one leaf
 _LEAF = 64
+
+_TABLE_BOUND = 8  # largest level with a Cayley table: 2 ms to build at N = 8, 30 ms at 16
+
+
+@functools.cache
+def _steps(modulus: int) -> tuple[tuple, tuple]:
+    """SL(2, Z/modulus) as residue 4-tuples, breadth-first from Id = 0, and
+    its Cayley table: ``steps[s][r]`` is the index of ``elements[s]`` E(r)."""
+    elements, index, steps = [(1, 0, 0, 1)], {(1, 0, 0, 1): 0}, []
+    for a, b, c, d in elements:  # grows while it is read: breadth-first
+        row = []
+        for r in range(modulus):
+            g = (a * r + b) % modulus, -a % modulus, (c * r + d) % modulus, -c % modulus
+            if g not in index:
+                index[g] = len(elements)
+                elements.append(g)
+            row.append(index[g])
+        steps.append(tuple(row))
+    return tuple(elements), tuple(steps)
+
+
+def _kernel(entries) -> tuple[int, int, int, int]:
+    """M(entries) over Z as (a, b, c, d), for entries that are ints already."""
+    a, b, c, d = 1, 0, 0, 1
+    for e in entries:
+        a, b = a * e + b, -a
+        c, d = c * e + d, -c
+    return a, b, c, d
 
 
 def _mul(x, y) -> tuple[int, int, int, int]:
@@ -160,27 +176,41 @@ def _mul(x, y) -> tuple[int, int, int, int]:
     return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
 
 
+def _fold(entries, modulus=None) -> tuple[int, int, int, int]:
+    """M(entries) as (a, b, c, d), exact if ``modulus`` is None or 0, else as residues mod it."""
+    if modulus and modulus <= _TABLE_BOUND:
+        elements, steps = _steps(modulus)
+        state = 0
+        for e in map(operator.index, entries):
+            state = steps[state][e % modulus]
+        return elements[state]
+    entries = tuple(map(operator.index, entries))
+    level = [_kernel(entries[i : i + _LEAF]) for i in range(0, len(entries), _LEAF)] or [(1, 0, 0, 1)]
+    if modulus:  # past the table: the reduced block products, multiplied left to right
+        return functools.reduce(lambda m, x: tuple(v % modulus for v in _mul(m, x)), level, (1, 0, 0, 1))
+    while len(level) > 1:
+        paired = [_mul(x, y) for x, y in zip(level[::2], level[1::2])]
+        level = paired + level[-1:] if len(level) % 2 else paired
+    return level[0]
+
+
 def m_product(seq) -> Mat2:
     """Left-to-right product of elementary factors for the given entries.
 
-    Each block of ``_LEAF`` entries is one ``_fold``; adjacent block
+    Each block of ``_LEAF`` entries is one ``_kernel`` call; adjacent block
     products are then multiplied pairwise, level by level, keeping their
     left-to-right order.
     """
     entries = tuple(seq)
     if not entries:
         raise ValueError("m_product requires a nonempty sequence")
-    level = [_fold(entries[i : i + _LEAF]) for i in range(0, len(entries), _LEAF)]
-    while len(level) > 1:
-        paired = [_mul(x, y) for x, y in zip(level[::2], level[1::2])]
-        level = paired + level[-1:] if len(level) % 2 else paired
-    return Mat2(*level[0])
+    return Mat2(*_fold(entries))
 
 
 def m_product_mod(seq, modulus: int) -> Mat2Mod:
-    """Same product with entries reduced mod ``modulus`` at every step.
+    """Same product in SL(2, Z/modulus), equal to ``m_product(seq).mod(modulus)``.
 
-    Agrees with ``m_product(seq).mod(modulus)`` but never builds big integers.
+    No integer grows past the product of one ``_LEAF`` block (see ``_fold``).
     """
     entries = tuple(seq)
     if not entries:
@@ -209,7 +239,7 @@ def in_principal_congruence(m: Mat2, modulus: int) -> bool:
 # is state s times E(e): 0 = Id = (1, 0, 0, 1), 1 = E(0) = (0, 1, 1, 0),
 # 2 = E(1) = (1, 1, 1, 0), 3 = E(0)E(1) = (1, 0, 1, 1), 4 = E(1)E(0) =
 # (1, 1, 0, 1) and 5 = E(1)E(1) = (0, 1, 1, 1).
-_MOD2_STEPS = ((1, 2), (0, 3), (4, 5), (5, 4), (2, 1), (3, 0))
+_MOD2_STEPS = _steps(2)[1]
 
 
 def is_gamma2_solution(seq) -> bool:
@@ -223,10 +253,7 @@ def is_gamma2_solution(seq) -> bool:
     entries = tuple(seq)
     if not entries:
         raise ValueError("is_gamma2_solution requires a nonempty sequence")
-    state = 0
-    for e in map(operator.index, entries):
-        state = _MOD2_STEPS[state][e & 1]
-    return state == 0
+    return _fold(entries, 2) == (1, 0, 0, 1)
 
 
 # Words in the standard generators.  S^-1 = -S because S^2 = -Id, which is
@@ -373,7 +400,8 @@ def parse_mod2_seq(text: str) -> Mod2Seq:
 
 
 def format_seq(seq) -> str:
-    return ",".join(str(int(e)) for e in seq)
+    """Comma-separated entries, read with ``operator.index`` (bools print as 1/0)."""
+    return ",".join(map(str, map(operator.index, seq)))
 
 
 def rotate(seq: tuple, k: int) -> tuple:

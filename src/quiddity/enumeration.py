@@ -28,6 +28,7 @@ from .algebra import (
     Mod2Seq,
     _MOD2_STEPS,
     _fold,
+    _kernel,
     classify_pm_identity,
     format_seq,
     min_rotation,
@@ -132,10 +133,10 @@ def solutions_pm_identity(
     k = n // 2
     prefixes: dict[tuple[int, int, int, int], list[IntSeq]] = {}
     for prefix in product(entries, repeat=k):
-        prefixes.setdefault(_fold(prefix), []).append(prefix)
+        prefixes.setdefault(_kernel(prefix), []).append(prefix)
     out: list[tuple[IntSeq, int]] = []
     for suffix in product(entries, repeat=n - k):
-        a, b, c, d = _fold(suffix)
+        a, b, c, d = _kernel(suffix)
         for sign in (1, -1):
             for prefix in prefixes.get((sign * d, -sign * b, -sign * c, sign * a), ()):
                 out.append((prefix + suffix, sign))
