@@ -199,7 +199,8 @@ def _cmd_realize(args):
         if args.dot:
             with open(args.dot, "w", encoding="utf-8") as handle:
                 handle.write(d.to_dot(geometry=args.geometry))
-        yield d.to_json_dict(), d.to_json, True
+        # to_json_dict's record without its copy of each pair: json.dumps prints a tuple as a list
+        yield {"schema": 1, "n": d.n, "diagonals": d.diagonals}, d.to_json, True
 
 
 def _cmd_frieze(args):

@@ -13,24 +13,23 @@ triangle onto a boundary edge and ``op_b`` glues a quadrilateral.
 
 Running the inverses of ``op_a``/``op_b`` with a fixed pivot rule shrinks
 any sequence to a short remainder; a sequence is a solution exactly when
-the remainder is (0,0) or (1,1,1).  Replaying the recorded steps forward,
-gluing a triangle per inverse-a step and a quadrilateral per inverse-b
-step, rebuilds the sequence as the parity quiddity of an explicit
-dissection into triangles and quadrilaterals: Conway--Coxeter ear-cutting
-run backwards.
+the remainder is (0,0) or (1,1,1).  This is Conway--Coxeter ear cutting:
+each inverse-a step cuts a triangle off the polygon and each inverse-b
+step a quadrilateral, and the chord it cuts along, read off as the
+reduction runs, is a diagonal of a dissection into triangles and
+quadrilaterals whose parity quiddity is the sequence.
 
-Both halves are linear in practice.  ``_reduce`` edits one list with a
+The reduction is linear in practice.  ``_reduce`` edits one list with a
 scan pointer: removing the smallest 1 at index i can create a new 1 only
-at index i - 1, or at 0 when the pivot was last.  ``_glue`` keeps the
-polygon as a cyclic list of stable vertex ids, so labels are assigned
-once at the end, by a list indexed by id.  The glued edges become
-(min, max) label pairs, sorted once; ``Dissection._trusted`` takes them
-with no check, and one ``validate`` of the finished dissection, repeats
-included, stands for every intermediate polygon, a sub-dissection of it.
-Both lists are kept reversed, so a delete or insert at index i of the
-sequence moves the i entries before it rather than the n - i after it;
-the pivot rule keeps i small.  Step indices count 1-based from
-the start of the sequence.
+at index i - 1, or at 0 when the pivot was last.  For a realization it
+keeps each entry's input position beside it, so a chord is a pair of
+final labels when it is cut.  The chords are sorted once;
+``Dissection._trusted`` takes them with no check, and one ``validate``
+of the finished dissection, repeats included, stands for every
+intermediate polygon, a sub-dissection of it.  The lists are kept
+reversed, so a delete or insert at index i of the sequence moves the i
+entries before it rather than the n - i after it; the pivot rule keeps i
+small.  Step indices count 1-based from the start of the sequence.
 
 Matrix invariance of ``alpha``/``op_a`` is a local two-factor identity, so
 it holds for insertion positions 1 <= i <= n-1; at the wrap position i = n
@@ -191,7 +190,7 @@ _BASES = ((0, 0), (1, 1, 1))
 _STEP_KINDS = ("InvA", "InvB")
 
 
-def _reduce(bits: Mod2Seq, keep_odd: bool) -> tuple[list[tuple[int, int]], Mod2Seq]:
+def _reduce(bits: Mod2Seq, keep_odd: bool, chords: bool = False) -> tuple[list[tuple[int, int]], Mod2Seq]:
     """Apply inverse surgeries until length <= 3 or no pivot is usable.
 
     The pivot rule: the smallest 1 (``reduce_to_base``), or with
@@ -200,26 +199,38 @@ def _reduce(bits: Mod2Seq, keep_odd: bool) -> tuple[list[tuple[int, int]], Mod2S
     goes.  Returns the steps applied as (k, 1-based index) pairs, k = 1 for
     inverse-a and k = 2 for inverse-b, and the remainder.
 
+    With ``chords`` it returns instead each cut's chord as a (min, max) pair
+    of 1-based input positions: inverse-a cuts a triangle along the pivot's
+    neighbours, inverse-b a quadrilateral along the pair's outer neighbours,
+    and the last quadrilateral, cut to (0, 0), has no chord.
+
     The list ``r`` holds the sequence reversed: entry i (0-based) of the
     sequence is ``r[m - 1 - i]``, so its cyclic left neighbour is
     ``r[(j + 1) % m]`` and its right neighbour ``r[j - 1]`` for j = m - 1 - i.
+    With ``chords`` the list ``lab`` holds each entry's position beside it.
     """
     r = list(reversed(bits))
+    lab = list(range(len(r), 0, -1)) if chords else None
     ones = sum(r)
-    steps = []
+    out = []
     m = len(r)
     p = m - 1  # every entry after index p is 0
     while m > 3:
         if not ones:
+            if lab is None:
+                out.append((2, 1))
+            elif m > 4:  # at m = 4 the whole quadrilateral goes, and the loop ends
+                out.append((lab[-3], lab[0]))
+                del lab[-2:]
             del r[-2:]
             m -= 2
-            steps.append((2, 1))
             continue
         while not r[p]:
             p -= 1
         j = p
-        # with keep_odd, skip 1s whose removal (neighbours flipped) leaves no 1
-        while keep_odd and j >= 0 and not (r[j] and ones + 1 - 2 * (r[(j + 1) % m] + r[j - 1])):
+        # with keep_odd, skip 1s whose removal (neighbours flipped) leaves no 1,
+        # which needs ones + 1 - 2 * (a + b) == 0, so ones <= 3
+        while keep_odd and ones < 4 and j >= 0 and not (r[j] and ones + 1 - 2 * (r[(j + 1) % m] + r[j - 1])):
             j -= 1
         if j < 0:
             break
@@ -228,51 +239,40 @@ def _reduce(bits: Mod2Seq, keep_odd: bool) -> tuple[list[tuple[int, int]], Mod2S
         ones += 1 - 2 * (a + b)
         r[left], r[j - 1] = 1 - a, 1 - b
         del r[j]
-        steps.append((1, m - j))
+        if lab is None:
+            out.append((1, m - j))
+        else:
+            a, b = lab[left], lab[j - 1]
+            out.append((a, b) if a < b else (b, a))
+            del lab[j]
         m -= 1
         if j == 0 or p == m:
             p = m - 1
-    return steps, tuple(reversed(r))
+    return out, tuple(reversed(r))
 
 
-def _glue(base_len: int, steps) -> tuple[list[int], list[tuple[int, int]]]:
-    """Replay (k, pos) steps on a cyclic list of stable vertex ids 0, 1, ...
+def _replay(base: Mod2Seq, steps) -> Mod2Seq:
+    """Per (k, pos) step insert a 1 and flip its neighbours (k = 1) or 0, 0 (k = 2).
 
-    Each step inserts k fresh ids at 1-based ``pos`` in 1..m+1, gluing a
-    (k+2)-gon onto the edge between the old cyclic neighbours at 0-based
-    pos - 2 and pos - 1.  Returns the final order and that edge per step.
-
-    The list ``r`` holds the order reversed, so 0-based position i is
-    ``r[m - 1 - i]`` and the fresh ids go in at ``m + 1 - pos``, in
-    descending order.
+    Entries go in at 1-based ``pos`` in 1..m+1, between the old cyclic
+    neighbours at 0-based pos - 2 and pos - 1; reversed as in ``_reduce``,
+    that is at ``m + 1 - pos``.
     """
-    r = list(range(base_len - 1, -1, -1))
-    edges = []
-    m = base_len
+    r = list(reversed(base))
+    m = len(r)
     for k, pos in steps:
         if not 1 <= pos <= m + 1:
             raise SurgeryError(f"insertion position {pos} out of range 1..{m + 1}")
         at = m + 1 - pos
-        edges.append((r[at if at < m else 0], r[at - 1]))
-        for v in range(m, m + k):
-            r.insert(at, v)
+        if k == 1:
+            r[at if at < m else 0] ^= 1
+            r[at - 1] ^= 1
+            r.insert(at, 1)
+        else:
+            r[at:at] = (0, 0)
         m += k
     r.reverse()
-    return r, edges
-
-
-def _replay(base: Mod2Seq, steps: list[tuple[int, int]]) -> Mod2Seq:
-    """Per (k, pos) step insert a 1 and flip its neighbours (k = 1) or 0, 0 (k = 2)."""
-    order, edges = _glue(len(base), steps)
-    bits = list(base) + [0] * (len(order) - len(base))
-    fresh = len(base)
-    for (k, _), (a, b) in zip(steps, edges):
-        if k == 1:
-            bits[fresh] = 1
-            bits[a] ^= 1
-            bits[b] ^= 1
-        fresh += k
-    return tuple(bits[v] for v in order)
+    return tuple(r)
 
 
 def op_a(seq, i: int) -> Mod2Seq:
@@ -399,13 +399,13 @@ def trace_from_json_dict(data: dict) -> SurgeryTrace:
 
 
 def _realize(seq, triangulate: bool) -> Dissection:
-    """Reduce ``seq`` once, then glue one cell per step, last step first, onto the base.
+    """Cut ``seq`` down to its base one ear at a time, reading off each ear's chord.
 
     A triangulation reduces with ``keep_odd``, so ``is_gamma2_solution``
     decides first; only a non-solution runs the smallest-1 reduction, whose
-    remainder ``NotASolution`` names.  The glued edges go to the unchecked
-    ``Dissection._trusted`` as sorted (min, max) label pairs, and one
-    ``validate`` then checks the whole result, a repeated pair included.
+    remainder ``NotASolution`` names.  The chords go sorted to the
+    unchecked ``Dissection._trusted``, and one ``validate`` then checks the
+    whole result, a repeated pair included.
     """
     s = as_mod2_seq(seq)
     if len(s) < 3:
@@ -415,22 +415,15 @@ def _realize(seq, triangulate: bool) -> Dissection:
             raise NotASolution(_reduce(s, keep_odd=False)[1])
         if 1 not in s:
             raise AllEven(f"{format_seq(s)} has no odd entry; no triangulation exists")
-        steps, base = _reduce(s, keep_odd=True)
+        chords, base = _reduce(s, keep_odd=True, chords=True)
         if base != (1, 1, 1):
             raise SurgeryError(f"descent ended at {format_seq(base)} instead of 1,1,1")
     else:
-        steps, base = _reduce(s, keep_odd=False)
+        chords, base = _reduce(s, keep_odd=False, chords=True)
         if base not in _BASES:
             raise NotASolution(base)
-    # base (0, 0): the last reduction step removed the final 0,0 pair of an
-    # all-zero quadruple, so its replay is the quadrilateral itself
-    n0, steps = (3, steps) if base == (1, 1, 1) else (4, steps[:-1])
-    order, edges = _glue(n0, reversed(steps))
-    label = [0] * len(order)
-    for position, v in enumerate(order, 1):
-        label[v] = position
-    pairs = sorted([(i, j) if (i := label[a]) < (j := label[b]) else (j, i) for a, b in edges])
-    d = Dissection._trusted(len(order), tuple(pairs))
+    chords.sort()
+    d = Dissection._trusted(len(s), tuple(chords))
     d.validate()
     return d
 
@@ -438,11 +431,12 @@ def _realize(seq, triangulate: bool) -> Dissection:
 def realize_dissection(seq) -> Dissection:
     """Build a triangle/quadrilateral dissection whose parity quiddity is ``seq``.
 
-    Replays the reduction log forward from a base dissection: triangle for
-    the (1,1,1) base; for the (0,0) base the first replayed pair insertion
-    materializes a plain quadrilateral (no 2-gon is ever built), and every
-    later step glues a triangle or a quadrilateral.  The quiddity equality
-    is exact on labels, not just up to rotation.
+    Conway--Coxeter ear cutting: each inverse surgery of the smallest-1
+    reduction cuts one cell off the polygon, a triangle per inverse-a step
+    and a quadrilateral per inverse-b step, and its chord is a diagonal.
+    The cell left at the end, the triangle of base (1,1,1) or the last
+    quadrilateral before base (0,0), has no chord of its own.  The quiddity
+    equality is exact on labels, not just up to rotation.
     """
     return _realize(seq, triangulate=False)
 
@@ -450,9 +444,10 @@ def realize_dissection(seq) -> Dissection:
 def realize_triangulation(seq) -> Dissection:
     """Build a triangulation whose parity quiddity is ``seq``.
 
-    Requires a solution with at least one odd entry.  Pivots are chosen as
-    the smallest index holding a 1 whose removal does not leave an all-zero
+    Requires a solution with at least one odd entry.  Ears are cut at the
+    smallest index holding a 1 whose removal does not leave an all-zero
     sequence; when the first candidate fails, the entry right after it is
-    also a 1 and succeeds, so the descent always reaches (1, 1, 1).
+    also a 1 and succeeds, so every cell is a triangle and the descent
+    always reaches (1, 1, 1).
     """
     return _realize(seq, triangulate=True)

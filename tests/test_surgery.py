@@ -257,6 +257,16 @@ def test_trace_from_json_rejects_malformed(data):
         trace_from_json_dict(data)
 
 
+@pytest.mark.parametrize("steps, message", [
+    ([{"kind": "InvA", "index": 0}], "insertion position 0 out of range 1..3"),
+    ([{"kind": "InvA", "index": 4}], "insertion position 4 out of range 1..3"),
+    ([{"kind": "InvA", "index": 6}, {"kind": "InvB", "index": 1}], "insertion position 6 out of range 1..5"),
+])
+def test_trace_from_json_names_the_out_of_range_insertion(steps, message):
+    with pytest.raises(SurgeryError, match=f"^{message}$"):
+        trace_from_json_dict({"base": "0,0", "steps": steps})
+
+
 @pytest.mark.parametrize("schema", [True, 1.0])
 def test_trace_from_json_accepts_only_the_int_schema_1(schema):
     with pytest.raises(SurgeryError, match=f"unsupported schema {schema!r}$"):

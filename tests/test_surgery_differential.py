@@ -216,9 +216,9 @@ def test_realize_triangulation_rejects_as_the_reference_and_reduces_once(monkeyp
     passes = []
     reduce = surgery._reduce
 
-    def recorded(bits, keep_odd):
+    def recorded(bits, keep_odd, chords=False):
         passes.append(keep_odd)
-        return reduce(bits, keep_odd)
+        return reduce(bits, keep_odd, chords)
 
     monkeypatch.setattr(surgery, "_reduce", recorded)
     rng = random.Random(41)

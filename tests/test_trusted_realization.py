@@ -2,7 +2,7 @@
 
 The realized object must be the one the checked constructor builds, and
 its single ``validate``, which also requires strictly increasing pairs,
-must catch a faulty ``_glue``.  The walk yields sets that need no check,
+must catch a faulty chord list from the reduction.  The walk yields sets that need no check,
 so it runs neither ``__init__`` nor ``validate``.  Also: ``cells`` walks
 once per object.
 """
@@ -80,43 +80,42 @@ def test_the_walk_runs_neither_init_nor_validate(monkeypatch):
 SEQ = next(s for s in reversed(solutions_gamma2(9)) if 1 in s)
 
 
-def _mutant_glue(monkeypatch, extra):
-    """Replace ``_glue`` by one that adds ``extra(order, edges)`` to its edges."""
-    glue = surgery._glue
+def _mutant_chords(monkeypatch, extra):
+    """Replace ``_reduce`` by one that adds ``extra(n, chords)`` to the chords it hands ``_realize``."""
+    reduce = surgery._reduce
 
-    def mutant(base_len, steps):
-        order, edges = glue(base_len, steps)
-        return order, edges + extra(order, edges)
+    def mutant(bits, keep_odd, chords=False):
+        out, rest = reduce(bits, keep_odd, chords)
+        return (out + extra(len(bits), out) if chords else out), rest
 
-    monkeypatch.setattr(surgery, "_glue", mutant)
+    monkeypatch.setattr(surgery, "_reduce", mutant)
 
 
-def _a_crossing_edge(order, edges):
-    """Vertex ids of the first chord, by label, that crosses a glued edge."""
-    m = len(order)
-    labeled = [tuple(sorted((order.index(a) + 1, order.index(b) + 1))) for a, b in edges]
-    for i in range(1, m + 1):
-        for j in range(i + 2, m + 1):
-            if any(a < i < b < j or i < a < j < b for a, b in labeled):
-                return [(order[i - 1], order[j - 1])]
+def _a_crossing_chord(n, chords):
+    """The first chord in lexicographic order that crosses one of ``chords``."""
+    for i in range(1, n + 1):
+        for j in range(i + 2, n + 1):
+            if any(a < i < b < j or i < a < j < b for a, b in chords):
+                return [(i, j)]
     raise AssertionError("no crossing chord")
 
 
 MUTANTS = {
-    "repeat": (lambda order, edges: [edges[-1]], DissectionError),
-    "reversed repeat": (lambda order, edges: [edges[0][::-1]], DissectionError),
-    "crossing": (_a_crossing_edge, CrossingDiagonals),
-    "side": (lambda order, edges: [(order[0], order[1])], SideAsDiagonal),
-    "closing side": (lambda order, edges: [(order[-1], order[0])], SideAsDiagonal),
+    "repeat": (lambda n, chords: [chords[-1]], DissectionError),
+    "reversed repeat": (lambda n, chords: [chords[0][::-1]], DissectionError),
+    "crossing": (_a_crossing_chord, CrossingDiagonals),
+    "side": (lambda n, chords: [(1, 2)], SideAsDiagonal),
+    "closing side": (lambda n, chords: [(1, n)], SideAsDiagonal),
 }
 
 
 @pytest.mark.parametrize("realize", REALIZERS)
 @pytest.mark.parametrize("name", MUTANTS)
 def test_a_faulty_glue_raises_instead_of_returning(realize, name, monkeypatch):
+    """A fault in the chords the reduction hands ``_realize`` raises; no dissection is returned."""
     assert len(realize(SEQ).diagonals) >= 3
     extra, error = MUTANTS[name]
-    _mutant_glue(monkeypatch, extra)
+    _mutant_chords(monkeypatch, extra)
     with pytest.raises(error):
         realize(SEQ)
 
