@@ -89,6 +89,9 @@ _CELL_RULES = {
 }
 _KINDS = ("all", *_CELL_RULES)
 
+# validate inserts at most this many equal left ends below each other; a longer run is sorted once
+_SHORT_RUN = 8
+
 
 def _crosses(p: tuple[int, int], q: tuple[int, int]) -> bool:
     a, b = p
@@ -146,9 +149,11 @@ class Dissection:
 
         The pairs must strictly increase, as the constructor sorts them: a
         repeat crosses nothing, so no later check would see it.  Non-crossing
-        diagonals nest like parentheses: sorted by left end ascending and
-        right end descending, each must close before, or inside, the
-        innermost one still open.  That is O(n + d log d).  On a failure the
+        diagonals nest like parentheses: walked in their stored order, each
+        must close before, or inside, the innermost one still open that does
+        not share its left end.  A run of equal left ends nests outward, so
+        the stack of open right ends takes each below the earlier ones of its
+        run.  That is O(n + d log d).  On a failure the
         first crossing pair in lexicographic order is named, in O(d log d): a
         later diagonal crosses (a, b) exactly when its left end lies strictly
         between a and b and its right end past b, so a sparse table of range
@@ -164,15 +169,27 @@ class Dissection:
                 raise DiagonalOutOfRange((i, j))
             if j - i < 2 or (i == 1 and j == self._n):
                 raise SideAsDiagonal((i, j))
-        open_rights: list[int] = []
-        # ds is sorted, so a stable sort of it reversed by left end alone puts
-        # equal left ends in descending order of right end
-        for a, b in sorted(reversed(ds), key=operator.itemgetter(0)):
-            while open_rights and open_rights[-1] <= a:
-                open_rights.pop()
-            if open_rights and open_rights[-1] < b:
+        rights: list[int] = []  # right ends of the open diagonals, innermost last
+        left = base = 0  # the current left end, and where its run starts in rights
+        unsorted = False
+        for a, b in ds:
+            if a != left:
+                if unsorted:
+                    rights[base:] = sorted(rights[base:], reverse=True)
+                    unsorted = False
+                while rights and rights[-1] <= a:
+                    rights.pop()
+                left, base = a, len(rights)
+            if base and rights[base - 1] < b:
                 break
-            open_rights.append(b)
+            # equal left ends come by ascending right end, each diagonal around
+            # the ones before it, so it goes below them, above its outer one; past
+            # _SHORT_RUN of them the run goes on unordered and is sorted once
+            if len(rights) - base < _SHORT_RUN:
+                rights.insert(base, b)
+            else:
+                rights.append(b)
+                unsorted = True
         else:
             return
         lefts = [a for a, _ in ds]

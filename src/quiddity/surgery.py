@@ -19,17 +19,17 @@ step a quadrilateral, and the chord it cuts along, read off as the
 reduction runs, is a diagonal of a dissection into triangles and
 quadrilaterals whose parity quiddity is the sequence.
 
-The reduction is linear in practice.  ``_reduce`` edits one list with a
-scan pointer: removing the smallest 1 at index i can create a new 1 only
-at index i - 1, or at 0 when the pivot was last.  For a realization it
-keeps each entry's input position beside it, so a chord is a pair of
-final labels when it is cut.  The chords are sorted once;
+The reduction is linear.  With the smallest-1 pivot every entry before
+the pivot is 0, and each cut makes the pivot's left neighbour the next
+pivot, so ``_reduce`` cuts a run of zeros and the 1 after it in one step
+of a left-to-right scan over the input, which deletes nothing and keeps
+two pending flips; only the last few entries go one cut at a time.  A cut
+entry has never moved, so its chord is read off as a pair of input
+positions, the final labels.  The chords are sorted once;
 ``Dissection._trusted`` takes them with no check, and one ``validate``
 of the finished dissection, repeats included, stands for every
-intermediate polygon, a sub-dissection of it.  The lists are kept
-reversed, so a delete or insert at index i of the sequence moves the i
-entries before it rather than the n - i after it; the pivot rule keeps i
-small.  Step indices count 1-based from the start of the sequence.
+intermediate polygon, a sub-dissection of it.  Step indices count
+1-based from the start of the sequence.
 
 Matrix invariance of ``alpha``/``op_a`` is a local two-factor identity, so
 it holds for insertion positions 1 <= i <= n-1; at the wrap position i = n
@@ -40,6 +40,7 @@ alpha((c,), 1) = (c+1, 1, c+1).
 
 import operator
 from dataclasses import dataclass
+from itertools import repeat
 
 from .algebra import (
     IntSeq,
@@ -189,6 +190,9 @@ _BASES = ((0, 0), (1, 1, 1))
 # a step of kind _STEP_KINDS[k - 1] replays as k inserted vertices: a (k+2)-gon
 _STEP_KINDS = ("InvA", "InvB")
 
+# shorter words skip the scan of ``_reduce``: one cut at a time is cheaper there
+_SCAN_MIN = 12
+
 
 def _reduce(bits: Mod2Seq, keep_odd: bool, chords: bool = False) -> tuple[list[tuple[int, int]], Mod2Seq]:
     """Apply inverse surgeries until length <= 3 or no pivot is usable.
@@ -204,16 +208,81 @@ def _reduce(bits: Mod2Seq, keep_odd: bool, chords: bool = False) -> tuple[list[t
     neighbours, inverse-b a quadrilateral along the pair's outer neighbours,
     and the last quadrilateral, cut to (0, 0), has no chord.
 
-    The list ``r`` holds the sequence reversed: entry i (0-based) of the
+    One left-to-right scan over ``bits`` does most of the work.  Every
+    entry left of the smallest 1 is 0, so with zeros at input positions
+    c..q-1 (0-based) and the pivot at q, each cut makes the pivot's left
+    neighbour the next pivot, and the run goes in q - c + 1 cuts: steps
+    (1, q - c + 1), ..., (1, 1), chords (z + 1, q + 2) for z = q - 1 down
+    to c, then (q + 2, n), where the last cut wraps to the last entry.
+    Entry q + 1 is flipped once per cut and the last entry once, so the
+    scan keeps a cursor and those two pending flips and deletes nothing.
+    It runs while a run's last cut is made on at least 4 entries, and with
+    ``keep_odd`` while the sequence holds at least 4 ones: only the
+    wrapping cut of (1, 1, 0, ..., 0, 1) can leave no 1, and a run that
+    starts with 3 ones after its pivot never reaches that shape, so both
+    rules cut the same ears.  ``_close`` takes what is left, and all of a
+    word shorter than ``_SCAN_MIN``.
+    """
+    n = len(bits)
+    if n < _SCAN_MIN:
+        return _close(list(reversed(bits)), 0, keep_odd, chords, [])
+    out = []
+    add, extend = out.append, out.extend
+    c = head = 0  # the sequence is bits[c:] with head added to its first entry
+    last = bits[-1]  # and its last entry, flipped once per run
+    ones = sum(bits)  # kept up to date only with keep_odd
+    floor = 4 if keep_odd else 0
+    stop = n - 4  # the last pivot position whose run ends on 4 entries
+    while c <= stop and ones >= floor:
+        if bits[c] ^ head:
+            q = c
+        else:
+            try:
+                q = bits.index(1, c + 1, stop + 1)
+            except ValueError:
+                break
+        t = q - c
+        head = (t + 1) & 1
+        if keep_odd:
+            b = bits[q + 1]
+            ones += (b ^ head) - b - 2 * last
+        last ^= 1
+        if chords:
+            if t == 1:
+                add((q, q + 2))
+            elif t:
+                extend(zip(range(q, c, -1), repeat(q + 2)))
+            add((q + 2, n))
+        else:
+            if t == 1:
+                add((1, 2))
+            elif t:
+                extend(zip(repeat(1), range(t + 1, 1, -1)))
+            add((1, 1))
+        c = q + 1
+    r = list(reversed(bits[c:]))
+    r[-1] ^= head
+    r[0] = last
+    return _close(r, c, keep_odd, chords, out)
+
+
+def _close(r: list[int], c: int, keep_odd: bool, chords: bool, out: list) -> tuple[list[tuple[int, int]], Mod2Seq]:
+    """Finish ``_reduce`` one cut at a time on the input's entries c..n-1 as the scan left them.
+
+    This phase takes the cuts the scan leaves: the last few entries, where
+    a cut may wrap round, an all-zero sequence, whose 0, 0 pair at index 1
+    goes, and with ``keep_odd`` a sequence of at most 3 ones, where a 1
+    whose removal would leave none is skipped.  Steps and chords go on
+    ``out``, numbered as in ``_reduce``; returns ``out`` and the remainder.
+
+    The list ``r`` holds that sequence reversed: entry i (0-based) of the
     sequence is ``r[m - 1 - i]``, so its cyclic left neighbour is
     ``r[(j + 1) % m]`` and its right neighbour ``r[j - 1]`` for j = m - 1 - i.
-    With ``chords`` the list ``lab`` holds each entry's position beside it.
+    With ``chords`` the list ``lab`` holds each entry's input position beside it.
     """
-    r = list(reversed(bits))
-    lab = list(range(len(r), 0, -1)) if chords else None
-    ones = sum(r)
-    out = []
     m = len(r)
+    lab = list(range(c + m, c, -1)) if chords else None
+    ones = sum(r)
     p = m - 1  # every entry after index p is 0
     while m > 3:
         if not ones:
@@ -401,11 +470,16 @@ def trace_from_json_dict(data: dict) -> SurgeryTrace:
 def _realize(seq, triangulate: bool) -> Dissection:
     """Cut ``seq`` down to its base one ear at a time, reading off each ear's chord.
 
-    A triangulation reduces with ``keep_odd``, so ``is_gamma2_solution``
-    decides first; only a non-solution runs the smallest-1 reduction, whose
-    remainder ``NotASolution`` names.  The chords go sorted to the
-    unchecked ``Dissection._trusted``, and one ``validate`` then checks the
-    whole result, a repeated pair included.
+    ``_reduce`` cuts the ears: its scan takes each run of zeros and the 1
+    after it in one step, and its closing phase the last few entries one
+    cut at a time, where a cut may wrap round, an all-zero sequence loses
+    its 0, 0 pair at index 1 (a quadrilateral, with no chord when it is the
+    last cell) and, for a triangulation, a 1 whose removal would leave no 1
+    is skipped.  A triangulation reduces with ``keep_odd``, so
+    ``is_gamma2_solution`` decides first; only a non-solution runs the
+    smallest-1 reduction, whose remainder ``NotASolution`` names.  The
+    chords go sorted to the unchecked ``Dissection._trusted``, and one
+    ``validate`` then checks the whole result, a repeated pair included.
     """
     s = as_mod2_seq(seq)
     if len(s) < 3:

@@ -88,3 +88,39 @@ def test_realizers_match_the_two_pass_construction_on_long_solutions(n):
     zeros = (0,) * n
     d = realize_dissection(zeros)
     assert (d.n, d.diagonals) == two_pass(zeros, False)
+
+
+@pytest.mark.parametrize("triangulate", [False, True])
+def test_realizers_match_the_two_pass_construction_from_the_scan_cut_off(triangulate):
+    # every solution from the length where the reduction starts to scan to four past it
+    realize = REALIZERS[triangulate]
+    for n in range(surgery._SCAN_MIN, surgery._SCAN_MIN + 5):
+        for s in solutions_gamma2(n):
+            if triangulate and 1 not in s:
+                continue
+            d = realize(s)
+            assert (d.n, d.diagonals) == two_pass(s, triangulate), s
+
+
+@pytest.mark.parametrize("ones", [4, 5, 6])
+def test_realizers_match_the_two_pass_construction_with_few_ones(ones):
+    # around the 4 ones the reduction's scan needs with keep_odd, and
+    # solutions whose zeros run on to the last entry; a solution has as many
+    # ones as entries, mod 2
+    rng = random.Random(ones)
+    words = []
+    for n in (300, 1000, 300, 1000):
+        while True:
+            seq = [0] * (n + ones % 2)
+            for i in rng.sample(range(len(seq)), ones):
+                seq[i] = 1
+            if is_gamma2_solution(seq):
+                words.append(tuple(seq))
+                break
+    while len(words) < 7:
+        seq = _random_solution(rng, ones * 20, 0.5)[:-1] + (1,) + (0,) * 500
+        if is_gamma2_solution(seq):
+            words.append(seq)
+    for s, triangulate in itertools.product(words, (False, True)):
+        d = REALIZERS[triangulate](s)
+        assert (d.n, d.diagonals) == two_pass(s, triangulate), (len(s), triangulate)

@@ -239,3 +239,143 @@ def test_realize_triangulation_rejects_as_the_reference_and_reduces_once(monkeyp
     passes.clear()
     assert _outcome(realize_triangulation, seq) == _seed_realized(seed.realize_triangulation, seq)
     assert passes == [True]
+
+
+def _closing_lengths(monkeypatch):
+    """A list that records the length of each word ``surgery._close`` receives."""
+    received = []
+    close = surgery._close
+
+    def recorded(seq, c, *args):
+        received.append(len(seq))
+        return close(seq, c, *args)
+
+    monkeypatch.setattr(surgery, "_close", recorded)
+    return received
+
+
+def test_scan_cuts_from_length_4(monkeypatch):
+    # with no short-word cut-off the scan's first run needs its last cut to
+    # be made on 4 entries, so it cuts exactly when the smallest 1 sits at
+    # index n - 4 or before, and with keep_odd only while at least 4 ones
+    # remain; from there on to four past it, it matches the reference
+    monkeypatch.setattr(surgery, "_SCAN_MIN", 0)
+    monkeypatch.setattr(seed, "_checked", lambda n, diagonals: SimpleNamespace(n=n, diagonals=diagonals))
+    received = _closing_lengths(monkeypatch)
+    cut = {False: 0, True: 0}
+    for n in range(3, 9):
+        for seq in itertools.product((0, 1), repeat=n):
+            first = seq.index(1) if 1 in seq else n
+            for keep_odd in (False, True):
+                received.clear()
+                surgery._reduce(seq, keep_odd, chords=True)
+                scans = first <= n - 4 and (sum(seq) >= 4 or not keep_odd)
+                assert len(received) == 1 and (received[0] < n) == scans, (seq, keep_odd)
+                cut[keep_odd] += scans
+            result = reduce_to_base(seq)
+            got = trace_to_json_dict(result.trace) if result.is_solution else None
+            assert got == seed.trace_json(seq), seq
+            for new, old in (
+                (realize_dissection, seed.realize_dissection),
+                (realize_triangulation, seed.realize_triangulation),
+            ):
+                assert _outcome(new, seq) == _seed_realized(old, seq), (new.__name__, seq)
+    assert cut[False] > cut[True] > 100
+
+
+@pytest.mark.parametrize("n", range(surgery._SCAN_MIN - 1, surgery._SCAN_MIN + 5))
+def test_scan_matches_reference_on_every_word_from_its_cut_off(n, monkeypatch):
+    # shorter words go whole to the closing phase; from _SCAN_MIN on, the
+    # scan cuts what it can, and the traces are the reference's
+    received = _closing_lengths(monkeypatch)
+    scanned = 0
+    for seq in itertools.product((0, 1), repeat=n):
+        received.clear()
+        result = reduce_to_base(seq)
+        got = trace_to_json_dict(result.trace) if result.is_solution else None
+        assert got == seed.trace_json(seq), seq
+        scanned += received[0] < n
+    assert (scanned > 0) == (n >= surgery._SCAN_MIN)
+
+
+def _word_with_ones(rng, n, ones, solution):
+    """A 0/1 word of length n with exactly ``ones`` 1s and the given verdict."""
+    while True:
+        seq = [0] * n
+        for i in rng.sample(range(n), ones):
+            seq[i] = 1
+        if is_gamma2_solution(seq) == solution:
+            return tuple(seq)
+
+
+def _scan_boundary_words(rng):
+    """Long words at the edges of the scan in ``surgery._reduce``.
+
+    Exactly 4, 5 and 6 ones, around the 4 ones the scan needs with keep_odd,
+    and words whose zeros run on to the last entry, so the scan stops with a
+    long run of zeros left; each of either verdict.
+    """
+    # a solution has as many ones as entries, mod 2
+    words = [
+        _word_with_ones(rng, n + ones % 2, ones, solution)
+        for n in (200, 600) for ones in (4, 5, 6) for solution in (True, False)
+    ]
+    for k in (297, 298):
+        words += [(1,) + (0,) * k, (0, 1) + (0,) * k, (1, 1) + (0,) * k, (1, 0, 1) + (0,) * k, (0, 0, 1, 1, 1) + (0,) * k]
+    for solution in (True, False):
+        words += [_random_word(rng, 100, 0.5, solution)[:-1] + (1,) + (0,) * 250 for _ in range(3)]
+    return words
+
+
+def test_scan_boundaries_match_reference_on_long_words(monkeypatch):
+    monkeypatch.setattr(seed, "_checked", lambda n, diagonals: SimpleNamespace(n=n, diagonals=diagonals))
+    rng = random.Random(51)
+    bases, errors = set(), set()
+    for seq in _scan_boundary_words(rng):
+        result = reduce_to_base(seq)
+        got = json.dumps(trace_to_json_dict(result.trace)) if result.is_solution else None
+        want = seed.trace_json(seq)
+        assert got == (json.dumps(want) if want else None), seq.count(1)
+        bases.add(result.remainder if result.is_solution else None)
+        for new, old in (
+            (realize_dissection, seed.realize_dissection),
+            (realize_triangulation, seed.realize_triangulation),
+        ):
+            outcome = _outcome(new, seq)
+            assert outcome == _seed_realized(old, seq), (new.__name__, len(seq), seq.count(1))
+            if isinstance(outcome[0], str):
+                errors.add(outcome[0])
+    assert {(0, 0), None} <= bases
+    assert errors == {"NotASolution"}
+
+
+@pytest.mark.parametrize("keep_odd", [False, True])
+def test_the_closing_phase_gets_only_the_last_few_entries(keep_odd, monkeypatch):
+    # on uniform solutions the scan stops within a few entries of the end;
+    # the closing phase takes the zeros after the last 1 the scan can pivot
+    # on, so on sparse words it grows as the reciprocal of the density
+    received = _closing_lengths(monkeypatch)
+    rng = random.Random(61)
+    for density in (0.5, 0.5, 0.5, 0.9):
+        seq = _random_word(rng, 10_000, density, True)
+        received.clear()
+        _, base = surgery._reduce(seq, keep_odd, chords=True)
+        assert base in ((0, 0), (1, 1, 1))
+        assert len(received) == 1 and received[0] <= 32, (density, received)
+
+
+def test_validate_matches_pairwise_scan_on_long_runs_of_equal_left_ends():
+    # fans: the nesting pass inserts a few equal left ends below each other
+    # and sorts a longer run once, both against the pairwise scan
+    rng = random.Random(24)
+    kinds = set()
+    for _ in range(3000):
+        n = rng.randint(6, 40)
+        apex = rng.randint(1, n - 2)
+        fan = [(apex, j) for j in range(apex + 2, n + 1) if (apex, j) != (1, n) and rng.random() < 0.9]
+        proper = [(i, j) for i in range(1, n - 1) for j in range(i + 2, n + 1) if (i, j) != (1, n)]
+        diagonals = sorted(set(fan + rng.sample(proper, rng.randint(0, 2))))
+        got = _crossing_pair(_validate, n, diagonals)
+        assert got == _crossing_pair(_reference_validate, n, diagonals), (n, diagonals)
+        kinds.add((got[0] if got else None, len(fan) > dissections._SHORT_RUN))
+    assert kinds == {(None, False), (None, True), ("CrossingDiagonals", False), ("CrossingDiagonals", True)}
