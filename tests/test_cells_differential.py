@@ -5,6 +5,7 @@ import random
 import pytest
 
 import seed_cells as seed
+from test_surgery_differential import long_fans
 from quiddity import (
     Dissection,
     enumerate_dissections,
@@ -62,6 +63,12 @@ def test_cell_readings_match_reference_on_large_realizations(realize, seed_value
     d = realize(_random_solution(2000, seed_value))
     assert d.n == 2000
     assert _readings(d) == _seed_readings(d)
+
+
+def test_cell_readings_match_reference_on_long_fans():
+    # runs of 9 to 40 equal left ends, past the exhaustive range's 7
+    for d in long_fans(6):
+        assert _readings(d) == _seed_readings(d), d
 
 
 def test_cells_return_on_crossing_diagonals():

@@ -123,24 +123,55 @@ def test_validate_names_the_pairwise_pair_among_many_diagonals():
     assert crossings > 500
 
 
+def long_fans(seed_value):
+    """Dissections of up to 60 vertices, each with a run of 9 to 40 diagonals from one vertex.
+
+    The rest is a random non-crossing completion, so the run nests among
+    other diagonals.  The exhaustive inputs (n <= 10) hold runs of at most 7.
+    """
+    rng = random.Random(seed_value)
+    fans = []
+    for run in range(9, 41):
+        n = rng.randint(run + 3, 60)
+        apex = rng.randint(1, n - run - 2)
+        chosen = rng.sample([(apex, j) for j in range(apex + 2, n + 1) if (apex, j) != (1, n)], run)
+        proper = [(i, j) for i in range(1, n - 1) for j in range(i + 2, n + 1) if (i, j) != (1, n)]
+        for p in rng.sample(proper, len(proper) // 2):
+            if not any(dissections._crosses(p, q) or dissections._crosses(q, p) for q in chosen):
+                chosen.append(p)
+        fans.append(Dissection(n, chosen))
+    return fans
+
+
 def test_validate_scans_pairs_only_on_a_crossing(monkeypatch):
     valid = [d for n in range(3, 9) for d in dissections.enumerate_dissections(n)]
     valid.append(realize_dissection(_random_solution(500, 1)))
-    calls = []
-    original = dissections._crosses
+    valid += long_fans(25)
+    valid.append(realize_dissection(_random_solution(10_000, 2)))
+    calls, scans = [], []
+    original, original_bisect = dissections._crosses, dissections.bisect_right
 
     def counted(p, q):
         calls.append((p, q))
         return original(p, q)
 
+    def counted_bisect(*args):
+        scans.append(args)
+        return original_bisect(*args)
+
+    # the naming pass starts with bisect_right, so a nesting pass that
+    # reports a crossing where there is none shows here, though no pair is named
     monkeypatch.setattr(dissections, "_crosses", counted)
+    monkeypatch.setattr(dissections, "bisect_right", counted_bisect)
     for d in valid:
         d.validate()
     assert calls == []
+    assert scans == []
 
     with pytest.raises(dissections.CrossingDiagonals):
         _validate(6, [(1, 3), (2, 5), (3, 5)])
     assert calls
+    assert scans
 
 
 @pytest.mark.parametrize("realize, cells_ok", [
@@ -365,8 +396,9 @@ def test_the_closing_phase_gets_only_the_last_few_entries(keep_odd, monkeypatch)
 
 
 def test_validate_matches_pairwise_scan_on_long_runs_of_equal_left_ends():
-    # fans: the nesting pass inserts a few equal left ends below each other
-    # and sorts a longer run once, both against the pairwise scan
+    # fans: runs of equal left ends, shorter and longer than 8, whose pushes
+    # onto the heap must not lower the bound the rest of the run is read
+    # against, and a chord or two that may cross them, against the pairwise scan
     rng = random.Random(24)
     kinds = set()
     for _ in range(3000):
@@ -377,5 +409,5 @@ def test_validate_matches_pairwise_scan_on_long_runs_of_equal_left_ends():
         diagonals = sorted(set(fan + rng.sample(proper, rng.randint(0, 2))))
         got = _crossing_pair(_validate, n, diagonals)
         assert got == _crossing_pair(_reference_validate, n, diagonals), (n, diagonals)
-        kinds.add((got[0] if got else None, len(fan) > dissections._SHORT_RUN))
+        kinds.add((got[0] if got else None, len(fan) > 8))
     assert kinds == {(None, False), (None, True), ("CrossingDiagonals", False), ("CrossingDiagonals", True)}
