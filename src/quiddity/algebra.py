@@ -420,7 +420,7 @@ def rotations(seq: tuple) -> list[tuple]:
 
 def min_rotation(seq: tuple) -> tuple:
     """Lexicographically minimal rotation; canonical cyclic representative."""
-    return min(rotations(seq))
+    return min(rotations(seq), default=())
 
 
 def dihedral_min(seq: tuple) -> tuple:

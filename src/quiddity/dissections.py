@@ -107,15 +107,16 @@ class Dissection:
     def __init__(self, n: int, diagonals=()):
         if type(n) is not int:
             raise DissectionError(f"'n' must be an integer, got {n!r}")
-        pairs = set()
+        pairs = []
         for p in diagonals:
             if not isinstance(p, (tuple, list)) or len(p) != 2:
                 raise DissectionError(f"diagonal {p!r} is not a pair of vertices")
             a, b = p
             if type(a) is not int or type(b) is not int:
                 raise DissectionError(f"diagonal endpoints must be integers, got {p!r}")
-            pairs.add((a, b) if a < b else (b, a))
-        self._n, self._diagonals = n, tuple(sorted(pairs))
+            pairs.append((a, b) if a < b else (b, a))
+        # dict.fromkeys keeps the input order: sorted input, as realize writes it, sorts in one pass
+        self._n, self._diagonals = n, tuple(sorted(dict.fromkeys(pairs)))
         self.validate()
 
     @classmethod
@@ -320,21 +321,21 @@ def enumerate_dissections(
     (sorted) diagonal sets, starting with the empty set.  The arguments are
     checked on the first ``next()``.
 
-    Open cells sit on a stack as [right end, vertices so far], the side
-    (1, n) at the bottom.  At vertex v the walk tries (v, j) for ascending j
-    up to the innermost open cell's right end; stepping to u closes the
-    cells ending at u, innermost first, and adds u to the innermost one
-    left.  Subtrees whose cells break the kind's rule are cut off, and a set
-    is built only when its open cells, closed with no more diagonals, keep it.
+    Open cells sit on a stack, a tuple of (right end, vertices so far)
+    pairs with the side (1, n) at the bottom.  At vertex v the walk tries
+    (v, j) for ascending j up to the innermost open cell's right end;
+    stepping to u closes the cells ending at u, innermost first, and adds u
+    to the innermost one left.  Each call gets its own diagonals and stack,
+    rebuilt at every step, so backtracking has nothing to undo.  Subtrees
+    whose cells break the kind's rule are cut off, and a set is built only
+    when its open cells, closed with no more diagonals, keep it.
     """
     n, allowed = _cell_sizes(n, kind)
     _check_cap(n, "polygon", cap)
     # a cell never loses a vertex, so one past this size is a dead end
     largest = max(allowed)
-    chosen: list[tuple[int, int]] = []
-    stack = [[n, 2]]
 
-    def rec(v: int, j: int, base: int):
+    def rec(chosen: tuple, v: int, j: int, stack: tuple, base: int):
         # ``chosen`` ends at (v, j - 1); its cells from v sit at stack[base:]
         # vertices v + 1 .. right - 1 not under an inner cell join each cell
         inner = v + 1
@@ -343,36 +344,26 @@ def enumerate_dissections(
                 break
             inner = right
         else:
-            yield Dissection._trusted(n, tuple(chosen))
-        passed = []
+            yield Dissection._trusted(n, chosen)
         while True:
             hi = stack[base - 1][0] if v > 1 else n - 1
             for w in range(j, hi + 1):
-                chosen.append((v, w))
-                stack.insert(base, [w, 2])
-                yield from rec(v, w + 1, base)
-                chosen.pop()
-                del stack[base]
+                yield from rec((*chosen, (v, w)), v, w + 1, (*stack[:base], (w, 2), *stack[base:]), base)
             v += 1
             if v > n - 2:
-                break
-            closed = []
-            fits = True
-            while stack[-1][0] == v:
-                cell = stack.pop()
-                if cell[1] not in allowed:
-                    fits = False
-                closed.append(cell)
-            stack[-1][1] += 1
-            passed.append(closed)
-            if not fits or stack[-1][1] > largest:
-                break
+                return
+            k = len(stack) - 1
+            while stack[k][0] == v:
+                if stack[k][1] not in allowed:
+                    return
+                k -= 1
+            right, size = stack[k]
+            if size >= largest:
+                return
+            stack = (*stack[:k], (right, size + 1))
             j, base = v + 2, len(stack)
-        for closed in reversed(passed):
-            stack[-1][1] -= 1
-            stack.extend(reversed(closed))
 
-    yield from rec(1, 3, 1)
+    yield from rec((), 1, 3, ((n, 2),), 1)
 
 
 def _cell_sizes(n: int, kind: str) -> tuple[int, set[int]]:

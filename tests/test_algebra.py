@@ -383,3 +383,9 @@ def test_rotation_helpers():
     assert min_rotation((1, 1, 1, 0, 0)) == (0, 0, 1, 1, 1)
     assert dihedral_min((0, 1, 1)) == (0, 1, 1)
     assert dihedral_min((2, 1, 3)) == min_rotation((3, 1, 2))
+
+
+def test_rotation_helpers_accept_the_empty_tuple():
+    assert rotations(()) == []
+    assert min_rotation(()) == ()
+    assert dihedral_min(()) == ()
