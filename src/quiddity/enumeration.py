@@ -64,7 +64,7 @@ DEFAULT_MOD2_CAP = 20
 DEFAULT_INT_CAP = 8
 DEFAULT_COUNT_CAP = 64
 
-# default top n of the thm2/thm3 integer-search converse
+# top n of the thm2/thm3 integer-search converse
 _CONVERSE_HI = 7
 
 
@@ -243,7 +243,6 @@ def _check_sweep(
     mod2_cap: int,
     int_cap: int,
     count_cap: int,
-    converse_hi: int = _CONVERSE_HI,
 ) -> int:
     """First n of the sweep ``which`` over [n_lo, n_hi], after its range and cap checks.
 
@@ -263,7 +262,7 @@ def _check_sweep(
         met = [("count", count_cap, n_hi)]
         if spec.missed is not None:
             # the converse's walk and search; past the polygon cap no walk names a failing class
-            last = min(n_hi, converse_hi)
+            last = min(n_hi, _CONVERSE_HI)
             met += [("polygon", polygon_cap, last), ("integer-search", int_cap, last)]
     over = [(max(start, cap + 1), what, cap) for what, cap, last in met if max(start, cap + 1) <= last]
     if over:
@@ -271,7 +270,7 @@ def _check_sweep(
     return start
 
 
-def _counted(spec: _Counted, start: int, n_hi: int, polygon_cap: int, int_cap: int, converse_hi: int):
+def _counted(spec: _Counted, start: int, n_hi: int, polygon_cap: int, int_cap: int):
     """Yield ``(checked, counterexamples)`` of a counted sweep for each n from start to n_hi."""
     counts = _Counts(spec.kind, spec.modulus, n_hi)
     for n in range(start, n_hi + 1):
@@ -283,7 +282,7 @@ def _counted(spec: _Counted, start: int, n_hi: int, polygon_cap: int, int_cap: i
         ]
         failing = sum(count for *_, count in wrong)
         name = failing and n <= polygon_cap  # only then walk to name them
-        converse = spec.missed is not None and n <= converse_hi
+        converse = spec.missed is not None and n <= _CONVERSE_HI
         bad = [
             f"n={n}: {count} dissections counted with product {Mat2(*m)!r} and sum {total}, "
             f"unnamed past the polygon cap {polygon_cap}"
@@ -338,7 +337,6 @@ def theorem_sweep(
     mod2_cap: int = DEFAULT_MOD2_CAP,
     int_cap: int = DEFAULT_INT_CAP,
     count_cap: int = DEFAULT_COUNT_CAP,
-    converse_hi: int = _CONVERSE_HI,
 ) -> SweepReport:
     """Run one named verification sweep over n in [n_lo, n_hi].
 
@@ -347,10 +345,10 @@ def theorem_sweep(
     thm1ii  every mod-2 solution is realized by a valid triangle/quadrilateral
             dissection with the exact quiddity.
     thm2    triangulation quiddities multiply to -Id and sum to 3n - 6;
-            conversely (for n <= converse_hi) every -Id solution with entries
+            conversely (for n <= 7) every -Id solution with entries
             <= n - 2 and that sum is a triangulation quiddity.
     thm3    the quiddities of dissections with all cell sizes divisible by 3
-            (Ovsienko 2018) multiply to +/-Id; for n <= converse_hi they
+            (Ovsienko 2018) multiply to +/-Id; for n <= 7 they
             coincide with the +/-Id solutions with entries <= n - 2.
     remark  every solution with an odd entry is realized by a triangulation
             with the exact quiddity.
@@ -362,7 +360,7 @@ def theorem_sweep(
     ``polygon_cap`` is named by a walk of the kind that applies it to each
     quiddity, in stream order (thm1i, thm2) or sorted (thm3), and a count
     the walk misses is a counterexample; past that cap a class is named by
-    its count.  The converse of thm2 and thm3, for n <= ``converse_hi``,
+    its count.  The converse of thm2 and thm3, for n <= ``_CONVERSE_HI`` (7),
     applies it to each integer-search result (entries up to n - 2) with the
     class of its sign, names each that holds but was not listed, and adds
     the number of results to ``checked``.  Bounds and caps are read with
@@ -372,16 +370,15 @@ def theorem_sweep(
     spec = _SPECS.get(which)
     if spec is None:
         raise ValueError(f"unknown sweep {which!r}; expected one of {SWEEP_NAMES}")
-    n_lo, n_hi, converse_hi, polygon_cap, mod2_cap, int_cap, count_cap = map(
-        operator.index, (n_lo, n_hi, converse_hi, polygon_cap, mod2_cap, int_cap, count_cap)
+    n_lo, n_hi, polygon_cap, mod2_cap, int_cap, count_cap = map(
+        operator.index, (n_lo, n_hi, polygon_cap, mod2_cap, int_cap, count_cap)
     )
     start = _check_sweep(
-        which, n_lo, n_hi, polygon_cap=polygon_cap, mod2_cap=mod2_cap,
-        int_cap=int_cap, count_cap=count_cap, converse_hi=converse_hi,
+        which, n_lo, n_hi, polygon_cap=polygon_cap, mod2_cap=mod2_cap, int_cap=int_cap, count_cap=count_cap,
     )
     if isinstance(spec, _Realized):
         per_n = list(_realized(spec, start, n_hi, mod2_cap))
     else:
-        per_n = list(_counted(spec, start, n_hi, polygon_cap, int_cap, converse_hi))
+        per_n = list(_counted(spec, start, n_hi, polygon_cap, int_cap))
     bad = tuple(line for _, lines in per_n for line in lines)
     return SweepReport(which, n_lo, n_hi, sum(checked for checked, _ in per_n), bad)

@@ -23,9 +23,11 @@ The reduction is linear.  With the smallest-1 pivot every entry before
 the pivot is 0, and each cut makes the pivot's left neighbour the next
 pivot, so ``_reduce`` cuts a run of zeros and the 1 after it in one step
 of a left-to-right scan over the input, which deletes nothing and keeps
-two pending flips; only the last few entries go one cut at a time.  A cut
-entry has never moved, so its chord is read off as a pair of input
-positions, the final labels.  The chords are sorted once;
+two pending flips.  A run whose last cut, round the wrap, would leave
+fewer than 3 entries, or with ``keep_odd`` no 1, gets only its cuts before
+that one, and ``_close`` cuts what is left one ear at a time, each near an
+end of its lists.  A cut entry has never moved, so its chord is read off
+as a pair of input positions, the final labels.  The chords are sorted once;
 ``Dissection._trusted`` takes them with no check, and one ``validate``
 of the finished dissection, repeats included, stands for every
 intermediate polygon, a sub-dissection of it.  Step indices count
@@ -216,36 +218,47 @@ def _reduce(bits: Mod2Seq, keep_odd: bool, chords: bool = False) -> tuple[list[t
     to c, then (q + 2, n), where the last cut wraps to the last entry.
     Entry q + 1 is flipped once per cut and the last entry once, so the
     scan keeps a cursor and those two pending flips and deletes nothing.
-    It runs while a run's last cut is made on at least 4 entries, and with
-    ``keep_odd`` while the sequence holds at least 4 ones: only the
-    wrapping cut of (1, 1, 0, ..., 0, 1) can leave no 1, and a run that
-    starts with 3 ones after its pivot never reaches that shape, so both
-    rules cut the same ears.  ``_close`` takes what is left, and all of a
-    word shorter than ``_SCAN_MIN``.
+    It looks for the pivot up to index n - 2 and makes every cut on at
+    least 4 entries.  A run whose wrapping cut would leave fewer than 3
+    entries (pivot at n - 3 or n - 2), or with ``keep_odd`` no 1, gets only
+    its first k = min(t, n - c - 3) cuts, t = q - c, and the scan stops.
+    Only the wrapping cut can leave no 1: every other cut's left neighbour
+    is a 0, which becomes the next pivot.  So with ``keep_odd`` the scan
+    keeps the count of ones, and ``ones + (b ^ head) - b - 2 * last == 0``
+    tells exactly when that cut leaves none.  ``_close`` takes what is left
+    with the input positions of its entries, and all of a word shorter than
+    ``_SCAN_MIN``.
     """
     n = len(bits)
     if n < _SCAN_MIN:
-        return _close(list(reversed(bits)), 0, keep_odd, chords, [])
+        return _close(list(reversed(bits)), list(range(n, 0, -1)) if chords else None, keep_odd, [])
     out = []
     add, extend = out.append, out.extend
     c = head = 0  # the sequence is bits[c:] with head added to its first entry
     last = bits[-1]  # and its last entry, flipped once per run
     ones = sum(bits)  # kept up to date only with keep_odd
-    floor = 4 if keep_odd else 0
     stop = n - 4  # the last pivot position whose run ends on 4 entries
-    while c <= stop and ones >= floor:
+    k = -1  # the cuts made of a run that stops before its wrapping cut
+    while c <= stop:
         if bits[c] ^ head:
             q = c
         else:
             try:
-                q = bits.index(1, c + 1, stop + 1)
+                q = bits.index(1, c + 1, n - 1)
             except ValueError:
                 break
         t = q - c
         head = (t + 1) & 1
-        if keep_odd:
+        if keep_odd and q <= stop:
             b = bits[q + 1]
             ones += (b ^ head) - b - 2 * last
+        if q > stop or keep_odd and not ones:  # the wrapping cut would leave < 3 entries or no 1
+            k = min(t, n - c - 3)
+            if chords:
+                extend(zip(range(q, q - k, -1), repeat(q + 2)))
+            else:
+                extend(zip(repeat(1), range(t + 1, t + 1 - k, -1)))
+            break
         last ^= 1
         if chords:
             if t == 1:
@@ -260,33 +273,43 @@ def _reduce(bits: Mod2Seq, keep_odd: bool, chords: bool = False) -> tuple[list[t
                 extend(zip(repeat(1), range(t + 1, 1, -1)))
             add((1, 1))
         c = q + 1
-    r = list(reversed(bits[c:]))
-    r[-1] ^= head
-    r[0] = last
-    return _close(r, c, keep_odd, chords, out)
+    if k < 0:
+        r = list(reversed(bits[c:]))
+        r[-1] ^= head
+        r[0] = last
+        lab = list(range(n, c, -1)) if chords else None
+    else:
+        # entries c..q-k-1 are 0, q-k is the next pivot and q+1 was flipped k times
+        r = [*bits[:q:-1], 1, *repeat(0, q - k - c)]
+        r[0] = last
+        r[n - q - 2] ^= k & 1
+        lab = [*range(n, q + 1, -1), *range(q - k + 1, c, -1)] if chords else None
+    return _close(r, lab, keep_odd, out)
 
 
-def _close(r: list[int], c: int, keep_odd: bool, chords: bool, out: list) -> tuple[list[tuple[int, int]], Mod2Seq]:
-    """Finish ``_reduce`` one cut at a time on the input's entries c..n-1 as the scan left them.
+def _close(r: list[int], lab: list[int] | None, keep_odd: bool, out: list) -> tuple[list[tuple[int, int]], Mod2Seq]:
+    """Finish ``_reduce`` one cut at a time on what its scan left of the input.
 
-    This phase takes the cuts the scan leaves: the last few entries, where
-    a cut may wrap round, an all-zero sequence, whose 0, 0 pair at index 1
-    goes, and with ``keep_odd`` a sequence of at most 3 ones, where a 1
-    whose removal would leave none is skipped.  Steps and chords go on
+    This phase takes the cuts the scan leaves: at most 3 entries; a
+    sequence whose only 1, if any, is its last entry, which wraps round to
+    the first, and without a 1 loses its 0, 0 pair at index 1; and with
+    ``keep_odd`` the shape (1, 1, 0, ..., 0, 1), whose first 1 would leave
+    none and is skipped.  Each of these is cut near an end of the lists.
+    Words shorter than ``_SCAN_MIN`` come whole.  Steps and chords go on
     ``out``, numbered as in ``_reduce``; returns ``out`` and the remainder.
 
     The list ``r`` holds that sequence reversed: entry i (0-based) of the
     sequence is ``r[m - 1 - i]``, so its cyclic left neighbour is
     ``r[(j + 1) % m]`` and its right neighbour ``r[j - 1]`` for j = m - 1 - i.
-    With ``chords`` the list ``lab`` holds each entry's input position beside it.
-    Reversed, because an all-zero word reaches this phase whole (the scan
-    finds no pivot) and each cut removes the 0, 0 pair at index 1, which
-    here is ``del r[-2:]``.  In input order each cut would move every later
+    The list ``lab`` holds each entry's 1-based input position beside it
+    when chords are wanted, and is None otherwise.  Reversed, because an
+    all-zero word reaches this phase whole (the scan finds no pivot) and
+    each cut removes the 0, 0 pair at index 1, which here is
+    ``del r[-2:]``.  In input order each cut would move every later
     entry, a quadratic reduction: on 1e5 zeros those deletes alone take
     0.45 s, the whole realization 0.04 s (2-core x86-64, Python 3.11.7).
     """
     m = len(r)
-    lab = list(range(c + m, c, -1)) if chords else None
     ones = sum(r)
     p = m - 1  # every entry after index p is 0
     while m > 3:
@@ -476,7 +499,7 @@ def _realize(seq, triangulate: bool) -> Dissection:
     """Cut ``seq`` down to its base one ear at a time, reading off each ear's chord.
 
     ``_reduce`` cuts the ears: its scan takes each run of zeros and the 1
-    after it in one step, and its closing phase the last few entries one
+    after it in one step, and its closing phase what the scan leaves one
     cut at a time, where a cut may wrap round, an all-zero sequence loses
     its 0, 0 pair at index 1 (a quadrilateral, with no chord when it is the
     last cell) and, for a triangulation, a 1 whose removal would leave no 1

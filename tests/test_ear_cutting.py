@@ -104,7 +104,7 @@ def test_realizers_match_the_two_pass_construction_from_the_scan_cut_off(triangu
 
 @pytest.mark.parametrize("ones", [4, 5, 6])
 def test_realizers_match_the_two_pass_construction_with_few_ones(ones):
-    # around the 4 ones the reduction's scan needs with keep_odd, and
+    # few enough ones that with keep_odd a run's wrapping cut may leave none, and
     # solutions whose zeros run on to the last entry; a solution has as many
     # ones as entries, mod 2
     rng = random.Random(ones)

@@ -195,13 +195,15 @@ def test_theorem_sweeps_find_no_counterexamples():
         theorem_sweep("thm4")
 
 
-def test_thm3_above_converse_hi_checks_products():
+def test_thm3_above_converse_hi_checks_products(monkeypatch):
     # n = 9 is past the integer-search cap; the 3d quiddities are still checked
     report = theorem_sweep("thm3", 9, 9)
     assert report.ok
     assert report.checked > 0
     # with the gate lowered, n = 6 checks only the 3d dissections
-    assert theorem_sweep("thm3", 6, 6, converse_hi=5).checked < theorem_sweep("thm3", 6, 6).checked
+    full = theorem_sweep("thm3", 6, 6).checked
+    monkeypatch.setattr(enumeration, "_CONVERSE_HI", 5)
+    assert theorem_sweep("thm3", 6, 6).checked < full
 
 
 def _patch_sweep_workers(monkeypatch, result):
@@ -241,6 +243,8 @@ _PAST_COUNT_CAP = DEFAULT_COUNT_CAP + 1
 ])
 def test_sweep_past_a_cap_raises_before_any_work(monkeypatch, which, n_lo, n_hi, caps, message):
     _patch_sweep_workers(monkeypatch, _never_called)
+    caps = dict(caps)
+    monkeypatch.setattr(enumeration, "_CONVERSE_HI", caps.pop("converse_hi", enumeration._CONVERSE_HI))
     with pytest.raises(CapExceeded) as err:
         theorem_sweep(which, n_lo, n_hi, **caps)
     assert str(err.value) == message
@@ -270,7 +274,8 @@ def test_enumerate_checks_every_chosen_sweep_before_running_one(capsys, monkeypa
 @pytest.mark.parametrize("which", ["thm1i", "thm1ii", "thm2", "thm3", "remark"])
 def test_sweep_up_to_its_caps_runs(monkeypatch, which):
     _patch_sweep_workers(monkeypatch, lambda *args, **kwargs: [])
-    report = theorem_sweep(which, 3, 6, polygon_cap=6, mod2_cap=6, int_cap=6, count_cap=6, converse_hi=6)
+    monkeypatch.setattr(enumeration, "_CONVERSE_HI", 6)
+    report = theorem_sweep(which, 3, 6, polygon_cap=6, mod2_cap=6, int_cap=6, count_cap=6)
     assert (report.checked, report.counterexamples) == (0, ())
 
 
@@ -359,7 +364,7 @@ def test_solution_report_rejects_non_integer_n(n):
 
 @pytest.mark.parametrize(
     "bounds",
-    [{"n_lo": 1.0}, {"n_lo": 3.5}, {"n_hi": 5.0}, {"n_hi": "5"}, {"converse_hi": 6.5}, {"converse_hi": 7.0},
+    [{"n_lo": 1.0}, {"n_lo": 3.5}, {"n_hi": 5.0}, {"n_hi": "5"}, {"polygon_cap": 12.0}, {"int_cap": 8.0},
      {"count_cap": 64.0}],
 )
 @pytest.mark.parametrize("which", ["thm1i", "thm2", "thm3"])

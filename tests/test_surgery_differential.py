@@ -277,19 +277,21 @@ def _closing_lengths(monkeypatch):
     received = []
     close = surgery._close
 
-    def recorded(seq, c, *args):
+    def recorded(seq, *args):
         received.append(len(seq))
-        return close(seq, c, *args)
+        return close(seq, *args)
 
     monkeypatch.setattr(surgery, "_close", recorded)
     return received
 
 
 def test_scan_cuts_from_length_4(monkeypatch):
-    # with no short-word cut-off the scan's first run needs its last cut to
-    # be made on 4 entries, so it cuts exactly when the smallest 1 sits at
-    # index n - 4 or before, and with keep_odd only while at least 4 ones
-    # remain; from there on to four past it, it matches the reference
+    # with no short-word cut-off the scan cuts on at least 4 entries
+    # whenever the smallest 1 sits at index n - 2 or before: a run stops
+    # before its wrapping cut when that cut would leave 3 entries or fewer,
+    # or with keep_odd no 1, so a first run cuts nothing only when its pivot
+    # is the first entry and, with keep_odd, its cut would leave no 1; from
+    # there on to four past it, it matches the reference
     monkeypatch.setattr(surgery, "_SCAN_MIN", 0)
     monkeypatch.setattr(seed, "_checked", lambda n, diagonals: SimpleNamespace(n=n, diagonals=diagonals))
     received = _closing_lengths(monkeypatch)
@@ -300,7 +302,9 @@ def test_scan_cuts_from_length_4(monkeypatch):
             for keep_odd in (False, True):
                 received.clear()
                 surgery._reduce(seq, keep_odd, chords=True)
-                scans = first <= n - 4 and (sum(seq) >= 4 or not keep_odd)
+                # the first entry cut: its neighbours, entries 1 and n - 1, flip
+                after = [seq[1] ^ 1, *seq[2:-1], seq[-1] ^ 1]
+                scans = 4 <= n and first <= n - 2 and (first > 0 or not keep_odd or 1 in after)
                 assert len(received) == 1 and (received[0] < n) == scans, (seq, keep_odd)
                 cut[keep_odd] += scans
             result = reduce_to_base(seq)
@@ -312,6 +316,43 @@ def test_scan_cuts_from_length_4(monkeypatch):
             ):
                 assert _outcome(new, seq) == _seed_realized(old, seq), (new.__name__, seq)
     assert cut[False] > cut[True] > 100
+
+
+def _closing_moves(monkeypatch):
+    """A list that records, per ``surgery._close`` call, the entries its deletes move."""
+    moved = []
+
+    class Counted(list):
+        def __delitem__(self, key):
+            end = key.indices(len(self))[1] if isinstance(key, slice) else key % len(self) + 1
+            moved[-1] += len(self) - end
+            super().__delitem__(key)
+
+    close = surgery._close
+
+    def recorded(*args):
+        moved.append(0)
+        return close(*(Counted(a) if isinstance(a, list) else a for a in args))
+
+    monkeypatch.setattr(surgery, "_close", recorded)
+    return moved
+
+
+@pytest.mark.parametrize("head", [(), (1,), (1, 1), (0, 1), (1, 0, 1)])
+def test_closing_phase_is_linear_on_long_zero_runs(monkeypatch, head):
+    # a long run of zeros whose pivot sits in the last few entries is cut by
+    # the scan up to its wrapping cut, so the closing phase, which deletes
+    # from its lists, gets at most a few entries or cuts near their ends;
+    # handed the whole run it cut an ear at a time from the far end of its
+    # reversed list, moving about k^2 / 2 entries
+    moved = _closing_moves(monkeypatch)
+    k = 2000
+    for tail in [(), (1,), (1, 1), (1, 0), (1, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0), (0, 1, 1), (1, 0, 0, 0)]:
+        seq = head + (0,) * k + tail
+        for keep_odd, chords in itertools.product((False, True), repeat=2):
+            moved.clear()
+            surgery._reduce(seq, keep_odd, chords)
+            assert len(moved) == 1 and moved[0] <= 2 * k + 8, (tail, keep_odd, chords, moved)
 
 
 @pytest.mark.parametrize("n", range(surgery._SCAN_MIN - 1, surgery._SCAN_MIN + 5))
@@ -342,8 +383,8 @@ def _word_with_ones(rng, n, ones, solution):
 def _scan_boundary_words(rng):
     """Long words at the edges of the scan in ``surgery._reduce``.
 
-    Exactly 4, 5 and 6 ones, around the 4 ones the scan needs with keep_odd,
-    and words whose zeros run on to the last entry, so the scan stops with a
+    Exactly 4, 5 and 6 ones, few enough that with keep_odd a run's wrapping
+    cut may leave none, and words whose zeros run on to the last entry, so the scan stops with a
     long run of zeros left; each of either verdict.
     """
     # a solution has as many ones as entries, mod 2

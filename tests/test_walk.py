@@ -106,7 +106,9 @@ def test_sweep_counterexamples_read_as_built_from_enumerated_dissections(n, monk
         f"n={n}: quiddity {format_seq(q)} is not a +/-Id solution"
         for q in sorted({d.quiddity_cc() for d in sets})
     )
-    report = theorem_sweep("thm3", n, n, converse_hi=n - 1)
+    with monkeypatch.context() as patch:
+        patch.setattr(enumeration, "_CONVERSE_HI", n - 1)
+        report = theorem_sweep("thm3", n, n)
     assert (report.checked, report.counterexamples) == (len(sets), want)
     monkeypatch.setattr(enumeration, "solutions_pm_identity", lambda *args, **kwargs: [])
     report = theorem_sweep("thm3", n, n)
@@ -237,7 +239,8 @@ def test_thm2_and_thm3_walk_only_for_the_converse_when_every_class_holds(monkeyp
         return enumerate_dissections(n, kind, cap)
 
     monkeypatch.setattr(enumeration, "enumerate_dissections", walk)
-    report = theorem_sweep(which, 3, 10, converse_hi=5)
+    monkeypatch.setattr(enumeration, "_CONVERSE_HI", 5)
+    report = theorem_sweep(which, 3, 10)
     assert report.ok
     assert walked == [3, 4, 5]
 
