@@ -13,8 +13,12 @@ exact products of long words pass it; parsing input keeps the limit.
 
 Sequences are given inline as comma-separated entries, or as ``@path`` to
 process one sequence per line.  Enumeration caps can be raised or lowered
-with the environment variables QUIDDITY_MOD2_CAP, QUIDDITY_POLYGON_CAP,
-QUIDDITY_INT_CAP and QUIDDITY_COUNT_CAP.
+with the environment variables QUIDDITY_MOD2_CAP, QUIDDITY_COUNT_CAP and
+QUIDDITY_POLYGON_CAP.  The mod-2 cap bounds ``enumerate N`` and the
+sweeps thm1ii and remark, the count cap the sweeps thm1i, thm2 and thm3;
+a sweep meets no other cap.  The polygon cap bounds only the walk that
+names a failing class of a counted sweep: past it the class is named by
+its count.
 """
 
 import argparse
@@ -37,7 +41,6 @@ from .algebra import (
 from .dissections import DEFAULT_POLYGON_CAP, Dissection
 from .enumeration import (
     DEFAULT_COUNT_CAP,
-    DEFAULT_INT_CAP,
     DEFAULT_MOD2_CAP,
     SWEEP_NAMES,
     _check_sweep,
@@ -237,10 +240,10 @@ def _cmd_enumerate(args):
     if args.sweep:
         if args.classes or args.tuples or args.verify_jacobsthal:
             raise ValueError("--sweep cannot be combined with --classes, --tuples or --verify-jacobsthal")
-        caps = {cap: getattr(args, cap) for cap in ("polygon_cap", "mod2_cap", "int_cap", "count_cap")}
-        # every chosen sweep's range and caps before the first one runs
+        caps = {cap: getattr(args, cap) for cap in ("polygon_cap", "mod2_cap", "count_cap")}
+        # every chosen sweep's range and cap before the first one runs
         for which in _SWEEPS[args.sweep]:
-            _check_sweep(which, 3, args.n, **caps)
+            _check_sweep(which, 3, args.n, mod2_cap=args.mod2_cap, count_cap=args.count_cap)
         results = [theorem_sweep(which, 3, args.n, **caps) for which in _SWEEPS[args.sweep]]
         sweeps = [
             {"which": r.which, "range": [r.n_lo, r.n_hi], "checked": r.checked,
@@ -276,7 +279,6 @@ def main(argv=None) -> int:
     try:
         args.mod2_cap = _env_cap("QUIDDITY_MOD2_CAP", DEFAULT_MOD2_CAP)
         args.polygon_cap = _env_cap("QUIDDITY_POLYGON_CAP", DEFAULT_POLYGON_CAP)
-        args.int_cap = _env_cap("QUIDDITY_INT_CAP", DEFAULT_INT_CAP)
         args.count_cap = _env_cap("QUIDDITY_COUNT_CAP", DEFAULT_COUNT_CAP)
         ok = True
         for record, render, verdict in args.run(args):

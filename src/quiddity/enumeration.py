@@ -234,43 +234,25 @@ SWEEP_NAMES = tuple(_SPECS)
 _SIGNED = {1: MatClass.PLUS_ID, -1: MatClass.MINUS_ID}
 
 
-def _check_sweep(
-    which: str,
-    n_lo: int,
-    n_hi: int,
-    *,
-    polygon_cap: int,
-    mod2_cap: int,
-    int_cap: int,
-    count_cap: int,
-) -> int:
+def _check_sweep(which: str, n_lo: int, n_hi: int, *, mod2_cap: int, count_cap: int) -> int:
     """First n of the sweep ``which`` over [n_lo, n_hi], after its range and cap checks.
 
-    Raises ``ValueError`` for a range holding no n >= 3, and the
-    ``CapExceeded`` that the sweep's loop would raise first, so a caller can
-    check several sweeps before running any.
+    A sweep meets one cap, the one that bounds its work as n grows: a
+    realized sweep the mod-2 cap, a counted one the count cap.  Raises
+    ``ValueError`` for a range holding no n >= 3, and ``CapExceeded`` at
+    the first n past that cap, so a caller can check several sweeps before
+    running any.
     """
     start = max(n_lo, 3)
     if start > n_hi:
         raise ValueError(f"sweep range {n_lo}..{n_hi} contains no polygon size n >= 3")
-    # the caps the per-n calls meet, in call order, each with the last n it
-    # is met at; raise now what the loop would raise first
-    spec = _SPECS[which]
-    if isinstance(spec, _Realized):
-        met = [("mod-2", mod2_cap, n_hi)]
-    else:
-        met = [("count", count_cap, n_hi)]
-        if spec.missed is not None:
-            # the converse's walk and search; past the polygon cap no walk names a failing class
-            last = min(n_hi, _CONVERSE_HI)
-            met += [("polygon", polygon_cap, last), ("integer-search", int_cap, last)]
-    over = [(max(start, cap + 1), what, cap) for what, cap, last in met if max(start, cap + 1) <= last]
-    if over:
-        _check_cap(*min(over, key=lambda o: o[0]))
+    what, cap = ("mod-2", mod2_cap) if isinstance(_SPECS[which], _Realized) else ("count", count_cap)
+    if n_hi > cap:
+        _check_cap(max(start, cap + 1), what, cap)
     return start
 
 
-def _counted(spec: _Counted, start: int, n_hi: int, polygon_cap: int, int_cap: int):
+def _counted(spec: _Counted, start: int, n_hi: int, polygon_cap: int):
     """Yield ``(checked, counterexamples)`` of a counted sweep for each n from start to n_hi."""
     counts = _Counts(spec.kind, spec.modulus, n_hi)
     for n in range(start, n_hi + 1):
@@ -281,18 +263,20 @@ def _counted(spec: _Counted, start: int, n_hi: int, polygon_cap: int, int_cap: i
             if spec.claim(classify_pm_identity(Mat2(*m)), total, n)
         ]
         failing = sum(count for *_, count in wrong)
-        name = failing and n <= polygon_cap  # only then walk to name them
         converse = spec.missed is not None and n <= _CONVERSE_HI
+        # the polygon cap bounds only the walk that names failing classes;
+        # the converse's walk names them too
+        walk = converse or (failing and n <= polygon_cap)
         bad = [
             f"n={n}: {count} dissections counted with product {Mat2(*m)!r} and sum {total}, "
             f"unnamed past the polygon cap {polygon_cap}"
-            for m, total, count in wrong if not name
+            for m, total, count in wrong if not walk
         ]
         listed = set()
-        if name or converse:
+        if walk:
             # (quiddity, dissection, dissections) in naming order; mod 2 the
             # count reads the parity quiddity, over Z the cc quiddity
-            dissections = enumerate_dissections(n, spec.kind, polygon_cap)
+            dissections = enumerate_dissections(n, spec.kind, n)
             stream = ((d.quiddity_mod2() if spec.modulus else d.quiddity_cc(), d, 1) for d in dissections)
             if not spec.per_dissection:
                 quiddities = Counter(q for q, *_ in stream)
@@ -309,7 +293,7 @@ def _counted(spec: _Counted, start: int, n_hi: int, polygon_cap: int, int_cap: i
         if converse:
             # cc entries are at most n - 2, the search's entry cap, so the
             # forward check has covered the listed quiddities that are no solution
-            solutions = solutions_pm_identity(n, cap=int_cap)
+            solutions = solutions_pm_identity(n, cap=n)
             checked += len(solutions)
             held = {s for s, sign in solutions if not spec.claim(_SIGNED[sign], sum(s), n)}
             bad += [f"n={n}: {spec.missed.format(s=format_seq(s))}" for s in sorted(held - listed)]
@@ -335,7 +319,6 @@ def theorem_sweep(
     *,
     polygon_cap: int = DEFAULT_POLYGON_CAP,
     mod2_cap: int = DEFAULT_MOD2_CAP,
-    int_cap: int = DEFAULT_INT_CAP,
     count_cap: int = DEFAULT_COUNT_CAP,
 ) -> SweepReport:
     """Run one named verification sweep over n in [n_lo, n_hi].
@@ -353,32 +336,32 @@ def theorem_sweep(
     remark  every solution with an odd entry is realized by a triangulation
             with the exact quiddity.
 
-    A counted sweep's claim gives the reasons a class fails: the
-    ``MatClass`` of a quiddity's product (mod 2 for thm1i) with its sum.
-    The count applies it to the classes of one ``_Counts`` table grown up
-    to ``count_cap``; ``checked`` is the count.  A failing class at n <=
-    ``polygon_cap`` is named by a walk of the kind that applies it to each
-    quiddity, in stream order (thm1i, thm2) or sorted (thm3), and a count
-    the walk misses is a counterexample; past that cap a class is named by
-    its count.  The converse of thm2 and thm3, for n <= ``_CONVERSE_HI`` (7),
-    applies it to each integer-search result (entries up to n - 2) with the
+    Each sweep meets one cap, the one that bounds its work as n grows:
+    thm1ii and the remark ``mod2_cap``, the counted sweeps thm1i, thm2 and
+    thm3 ``count_cap``.  A counted sweep's claim gives the reasons a class
+    fails: the ``MatClass`` of a quiddity's product (mod 2 for thm1i) with
+    its sum.  The count applies it to the classes of one ``_Counts`` table;
+    ``checked`` is the count.  A failing class is named by a walk of the
+    kind that applies it to each quiddity, in stream order (thm1i, thm2) or
+    sorted (thm3), and a count the walk misses is a counterexample.
+    ``polygon_cap`` bounds only that naming walk: past it a class is named
+    by its count.  The converse of thm2 and thm3, for n <= ``_CONVERSE_HI``
+    (7), walks every n, so it names failing classes too; it applies the
+    claim to each integer-search result (entries up to n - 2) with the
     class of its sign, names each that holds but was not listed, and adds
     the number of results to ``checked``.  Bounds and caps are read with
     ``operator.index``; a range holding no n >= 3 raises ``ValueError``,
-    and one reaching past a cap raises ``CapExceeded`` before any work.
+    and one reaching past the sweep's cap raises ``CapExceeded`` before any
+    work.
     """
     spec = _SPECS.get(which)
     if spec is None:
         raise ValueError(f"unknown sweep {which!r}; expected one of {SWEEP_NAMES}")
-    n_lo, n_hi, polygon_cap, mod2_cap, int_cap, count_cap = map(
-        operator.index, (n_lo, n_hi, polygon_cap, mod2_cap, int_cap, count_cap)
-    )
-    start = _check_sweep(
-        which, n_lo, n_hi, polygon_cap=polygon_cap, mod2_cap=mod2_cap, int_cap=int_cap, count_cap=count_cap,
-    )
+    n_lo, n_hi, polygon_cap, mod2_cap, count_cap = map(operator.index, (n_lo, n_hi, polygon_cap, mod2_cap, count_cap))
+    start = _check_sweep(which, n_lo, n_hi, mod2_cap=mod2_cap, count_cap=count_cap)
     if isinstance(spec, _Realized):
         per_n = list(_realized(spec, start, n_hi, mod2_cap))
     else:
-        per_n = list(_counted(spec, start, n_hi, polygon_cap, int_cap))
+        per_n = list(_counted(spec, start, n_hi, polygon_cap))
     bad = tuple(line for _, lines in per_n for line in lines)
     return SweepReport(which, n_lo, n_hi, sum(checked for checked, _ in per_n), bad)

@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
 """The checks past tier-1's range, one step at a time.
 
-    python3 tests/ci_checks.py smoke|caps|exit-codes|large|all
+    python3 tests/ci_checks.py smoke|caps|exit-codes|large|bench|all
 
 ``smoke`` runs every sweep through the CLI and checks the walk, the count
 and bench/reference.py against each other past the differential tests'
-range.  ``caps`` checks that a sweep past a cap stops before any work.
-``exit-codes`` runs the table ``EXIT_CODES``.  ``large`` runs the CLI on
-seeded inputs of up to 1e6 entries from bench/generate.py and compares
-its output with bench/reference.py, which shares no code with ``src/``.
-``all`` runs the four in that order.
+range.  ``caps`` checks that a sweep past its cap stops before any work,
+and that the polygon cap changes no sweep's output.  ``exit-codes`` runs
+the table ``EXIT_CODES``.  ``large`` runs the CLI on seeded inputs of up
+to 1e6 entries from bench/generate.py and compares its output with
+bench/reference.py, which shares no code with ``src/``.  ``bench`` runs
+bench/reference.py's self-test and one short round of each benchmark
+workload.  ``all`` runs the five in that order.
 
-Each command runs as ``python -m quiddity.cli`` in a child process, with
-this repository's ``src/`` first on PYTHONPATH, so the script needs no
-install; the children see no QUIDDITY_* cap but the ones a check sets.
+Each command runs as a Python child process from the repository root,
+with this repository's ``src/`` first on PYTHONPATH, so the script needs
+no install; the children see no QUIDDITY_* cap but the ones a check sets.
 Every check prints one line.  A step stops at its first failed check,
 except ``exit-codes``, which runs every case first.  The script exits 0
 when every step passes, 1 when one fails and 2 on a bad argument.
@@ -85,8 +87,8 @@ def expect(ok, what):
         raise Failed(what)
 
 
-def cli(argv, *, timeout=None, env=None, stdin=b"", out=QUIET, err=LOG):
-    """Run ``python -m quiddity.cli`` on ``argv``; return its exit code and captured stdout.
+def python(args, *, timeout=None, env=None, stdin=b"", out=QUIET, err=LOG):
+    """Run ``python args`` from the repository root; return its exit code and captured stdout.
 
     A child that outlasts ``timeout`` seconds is killed and gives 124, as
     coreutils' ``timeout`` does.
@@ -96,12 +98,17 @@ def cli(argv, *, timeout=None, env=None, stdin=b"", out=QUIET, err=LOG):
     child_env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     try:
         done = subprocess.run(
-            [sys.executable, "-m", "quiddity.cli", *argv],
-            input=stdin, stdout=out, stderr=err, env=child_env, timeout=timeout,
+            [sys.executable, *args],
+            input=stdin, stdout=out, stderr=err, env=child_env, timeout=timeout, cwd=ROOT,
         )
     except subprocess.TimeoutExpired:
         return 124, b""
     return done.returncode, done.stdout
+
+
+def cli(argv, **kwargs):
+    """Run ``python -m quiddity.cli`` on ``argv``, as ``python`` runs a child."""
+    return python(["-m", "quiddity.cli", *argv], **kwargs)
 
 
 def write_word(path, word):
@@ -167,15 +174,19 @@ def smoke():
 
 
 def caps():
-    """A sweep past a cap is a usage error (exit 2) before any work.
+    """A sweep past its one cap is a usage error (exit 2) before any work.
 
-    One that swept up to the cap first would run into the timeout (exit
-    124), and a counted sweep that ignored the count cap of 64 would
-    finish (exit 0).  The last run passes the caps of thm1i and thm1ii and
-    fails thm2's, so it exits 2 only if every chosen sweep is checked
-    before the first one runs: thm1ii to n = 20 alone outlasts the timeout.
-    At the count cap itself, n = 64, each counted sweep must finish and
-    exit 0.
+    thm1ii and the remark meet the mod-2 cap (20), the counted sweeps
+    thm1i, thm2 and thm3 the count cap (64).  A sweep that ran up to its
+    cap first would run into the timeout (exit 124), and a counted sweep
+    that ignored the count cap would finish (exit 0).  At the count cap
+    itself, n = 64, each counted sweep must finish and exit 0.  The polygon
+    cap bounds only the walk that names a failing class, so lowered to 4,
+    below the converse's walks (n <= 7), it must leave "enumerate 12
+    --sweep all" exiting 0 with the stdout of the default caps.  With one
+    cap per sweep no cap setting passes thm1i and thm1ii and then fails a
+    later sweep, so the check of every chosen sweep before the first one
+    runs is pinned in process, by tests/test_enumeration.py.
     """
     for which in ("thm1i", "thm2", "thm3"):
         status, _ = cli(["enumerate", "64", "--sweep", which], timeout=20)
@@ -185,9 +196,12 @@ def caps():
         status, _ = cli(args.split(), timeout=10, out=LOG)
         print(f"{args}: exit {status}")
         expect(status == 2, args)
-    status, _ = cli("enumerate 20 --sweep all".split(), timeout=10, env={"QUIDDITY_INT_CAP": "5"}, out=LOG)
-    print(f"QUIDDITY_INT_CAP=5 enumerate 20 --sweep all: exit {status}")
-    expect(status == 2, "QUIDDITY_INT_CAP=5 enumerate 20 --sweep all")
+    argv = "enumerate 12 --sweep all".split()
+    status, want = cli(argv, timeout=20, out=PIPE)
+    low_status, out = cli(argv, timeout=20, env={"QUIDDITY_POLYGON_CAP": "4"}, out=PIPE)
+    label = "QUIDDITY_POLYGON_CAP=4 enumerate 12 --sweep all"
+    print(f"{label}: exit {low_status}, stdout as with the default caps: {out == want}")
+    expect(status == low_status == 0 and out == want, label)
 
 
 def exit_codes():
@@ -314,7 +328,26 @@ def large():
         expect(status == 1, "frieze of the raised quiddity")
 
 
-STEPS = {"smoke": smoke, "caps": caps, "exit-codes": exit_codes, "large": large}
+def bench():
+    """bench/reference.py's self-test, then one seeded second of each workload of bench/run.py.
+
+    run.py exits 0 even on wrong answers, so the JSON object on its last
+    line must have ``correct`` true and ``failed`` 0.  The step takes 12-14 s.
+    """
+    status, _ = python(["bench/reference.py"], out=LOG)
+    expect(status == 0, f"bench/reference.py: exit {status}")
+    for workload in ("sweep", "realize", "long_words", "cli"):
+        argv = ["bench/run.py", "--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "0"]
+        _, out = python(argv, out=PIPE)
+        try:
+            r = json.loads(out.splitlines()[-1])
+        except (IndexError, ValueError):
+            raise Failed(f"bench/run.py --workload {workload}: no JSON on its last line") from None
+        print(workload, r)
+        expect(r["correct"] is True and r["failed"] == 0, f"bench/run.py --workload {workload}")
+
+
+STEPS = {"smoke": smoke, "caps": caps, "exit-codes": exit_codes, "large": large, "bench": bench}
 
 
 def main(argv):

@@ -196,7 +196,7 @@ def test_theorem_sweeps_find_no_counterexamples():
 
 
 def test_thm3_above_converse_hi_checks_products(monkeypatch):
-    # n = 9 is past the integer-search cap; the 3d quiddities are still checked
+    # n = 9 is past the converse's top n; the 3d quiddities are still checked
     report = theorem_sweep("thm3", 9, 9)
     assert report.ok
     assert report.checked > 0
@@ -204,6 +204,19 @@ def test_thm3_above_converse_hi_checks_products(monkeypatch):
     full = theorem_sweep("thm3", 6, 6).checked
     monkeypatch.setattr(enumeration, "_CONVERSE_HI", 5)
     assert theorem_sweep("thm3", 6, 6).checked < full
+
+
+@pytest.mark.parametrize("which", ["thm2", "thm3"])
+def test_converse_past_the_integer_search_default_cap_runs(monkeypatch, which):
+    # the converse searches each n with the cap n, so its top n may pass
+    # the search's default cap of 8
+    monkeypatch.setattr(enumeration, "_CONVERSE_HI", 8)
+    below = theorem_sweep(which, 3, 9).checked
+    monkeypatch.setattr(enumeration, "_CONVERSE_HI", 9)
+    report = theorem_sweep(which, 3, 9)
+    solutions = solutions_pm_identity(9, cap=9)
+    assert report.ok
+    assert report.checked == below + (len(solutions) if which == "thm2" else len({s for s, _ in solutions}))
 
 
 def _patch_sweep_workers(monkeypatch, result):
@@ -221,24 +234,27 @@ _PAST_COUNT_CAP = DEFAULT_COUNT_CAP + 1
 
 @pytest.mark.parametrize("which, n_lo, n_hi, caps, message", [
     ("thm1i", 3, 13, {"count_cap": 12}, "n=13 exceeds the count cap 12"),
-    # the polygon cap no longer holds thm1i: only the count cap does
+    # the polygon cap does not hold thm1i: only the count cap does
     ("thm1i", 9, 10, {"count_cap": 4, "polygon_cap": 4}, "n=9 exceeds the count cap 4"),
     ("thm1ii", 3, 21, {}, "n=21 exceeds the mod-2 cap 20"),
     ("remark", 5, 30, {"mod2_cap": 7}, "n=8 exceeds the mod-2 cap 7"),
-    ("thm2", 3, 10, {"int_cap": 5}, "n=6 exceeds the integer-search cap 5"),
-    ("thm3", 3, 13, {"converse_hi": 9}, "n=9 exceeds the integer-search cap 8"),
-    # the converse gate keeps the integer search under its cap
+    # a counted sweep meets the count cap, never the mod-2 cap
+    ("thm2", 3, 10, {"count_cap": 5, "mod2_cap": 4}, "n=6 exceeds the count cap 5"),
+    # the converse's search meets no cap of its own, raised past 8 too
+    ("thm3", 3, 13, {"count_cap": 8, "converse_hi": 9}, "n=9 exceeds the count cap 8"),
     ("thm3", 3, 13, {"count_cap": 12}, "n=13 exceeds the count cap 12"),
-    # at one n the loop walks the polygon before it searches
-    ("thm2", 3, 10, {"polygon_cap": 8, "converse_hi": 10}, "n=9 exceeds the polygon cap 8"),
+    # nor does the converse's walk, past the polygon cap
+    ("thm2", 3, 10, {"count_cap": 8, "polygon_cap": 4, "converse_hi": 10}, "n=9 exceeds the count cap 8"),
     # the default count cap holds every counted sweep
     ("thm1i", 3, _PAST_COUNT_CAP, {}, f"n={_PAST_COUNT_CAP} exceeds the count cap {DEFAULT_COUNT_CAP}"),
     ("thm2", 3, _PAST_COUNT_CAP, {}, f"n={_PAST_COUNT_CAP} exceeds the count cap {DEFAULT_COUNT_CAP}"),
     ("thm3", 3, _PAST_COUNT_CAP, {}, f"n={_PAST_COUNT_CAP} exceeds the count cap {DEFAULT_COUNT_CAP}"),
-    # the polygon cap still holds the walk of the converse, met at one n
-    # after the count and before the search
-    ("thm3", 3, 13, {"int_cap": 13, "converse_hi": 13}, "n=13 exceeds the polygon cap 12"),
-    ("thm2", 3, 70, {"polygon_cap": 4}, "n=5 exceeds the polygon cap 4"),
+    # every other cap at its lowest, and the converse up to the count cap:
+    # still only the count cap is met
+    ("thm3", 3, 13, {"count_cap": 12, "polygon_cap": 3, "mod2_cap": 3, "converse_hi": 13},
+     "n=13 exceeds the count cap 12"),
+    # a mod-2 cap past n_hi lets no counted sweep through
+    ("thm2", 3, 70, {"count_cap": 4, "mod2_cap": 70}, "n=5 exceeds the count cap 4"),
     ("thm2", 3, 70, {"polygon_cap": 4, "count_cap": 4}, "n=5 exceeds the count cap 4"),
 ])
 def test_sweep_past_a_cap_raises_before_any_work(monkeypatch, which, n_lo, n_hi, caps, message):
@@ -251,19 +267,22 @@ def test_sweep_past_a_cap_raises_before_any_work(monkeypatch, which, n_lo, n_hi,
 
 
 @pytest.mark.parametrize("argv, env, message", [
-    (["12", "--sweep", "all"], {"QUIDDITY_INT_CAP": "5"}, "n=6 exceeds the integer-search cap 5"),
+    # the remark meets the mod-2 cap, not the count cap
+    (["12", "--sweep", "remark"], {"QUIDDITY_COUNT_CAP": "5", "QUIDDITY_MOD2_CAP": "5"},
+     "n=6 exceeds the mod-2 cap 5"),
     (["12", "--sweep", "thm1"], {"QUIDDITY_MOD2_CAP": "11"}, "n=12 exceeds the mod-2 cap 11"),
-    # thm2 walks for its converse up to n = 7, so it meets the polygon cap
-    (["12", "--sweep", "all"], {"QUIDDITY_POLYGON_CAP": "5"}, "n=6 exceeds the polygon cap 5"),
+    # the polygon cap holds no sweep, so thm1i is checked and left for thm1ii's cap
+    (["12", "--sweep", "all"], {"QUIDDITY_POLYGON_CAP": "4", "QUIDDITY_MOD2_CAP": "5"},
+     "n=6 exceeds the mod-2 cap 5"),
     # the first failing sweep in run order names its cap, not the lowest n
-    (["12", "--sweep", "all"], {"QUIDDITY_INT_CAP": "5", "QUIDDITY_MOD2_CAP": "11"},
-     "n=12 exceeds the mod-2 cap 11"),
+    (["12", "--sweep", "all"], {"QUIDDITY_COUNT_CAP": "11", "QUIDDITY_MOD2_CAP": "5"},
+     "n=12 exceeds the count cap 11"),
     (["12", "--sweep", "all"], {"QUIDDITY_COUNT_CAP": "5", "QUIDDITY_MOD2_CAP": "5"},
      "n=6 exceeds the count cap 5"),
 ])
 def test_enumerate_checks_every_chosen_sweep_before_running_one(capsys, monkeypatch, argv, env, message):
     _patch_sweep_workers(monkeypatch, _never_called)
-    for name in ("QUIDDITY_MOD2_CAP", "QUIDDITY_POLYGON_CAP", "QUIDDITY_INT_CAP", "QUIDDITY_COUNT_CAP"):
+    for name in ("QUIDDITY_MOD2_CAP", "QUIDDITY_POLYGON_CAP", "QUIDDITY_COUNT_CAP"):
         monkeypatch.delenv(name, raising=False)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
@@ -275,12 +294,12 @@ def test_enumerate_checks_every_chosen_sweep_before_running_one(capsys, monkeypa
 def test_sweep_up_to_its_caps_runs(monkeypatch, which):
     _patch_sweep_workers(monkeypatch, lambda *args, **kwargs: [])
     monkeypatch.setattr(enumeration, "_CONVERSE_HI", 6)
-    report = theorem_sweep(which, 3, 6, polygon_cap=6, mod2_cap=6, int_cap=6, count_cap=6)
+    report = theorem_sweep(which, 3, 6, polygon_cap=6, mod2_cap=6, count_cap=6)
     assert (report.checked, report.counterexamples) == (0, ())
 
 
 @pytest.mark.parametrize("which, kind, polygon_cap", [
-    ("thm1i", "34", 3), ("thm2", "triangulation", 7), ("thm3", "3d", 7),
+    ("thm1i", "34", 3), ("thm2", "triangulation", 7), ("thm3", "3d", 7), ("thm2", "triangulation", 5),
 ])
 def test_counted_sweeps_pass_the_polygon_cap_without_walking_above_it(monkeypatch, which, kind, polygon_cap):
     walked = []
@@ -292,7 +311,9 @@ def test_counted_sweeps_pass_the_polygon_cap_without_walking_above_it(monkeypatc
     monkeypatch.setattr(enumeration, "enumerate_dissections", walk)
     report = theorem_sweep(which, 3, 20, polygon_cap=polygon_cap)
     assert report.ok
-    assert walked == list(range(3, polygon_cap + 1)) * (which != "thm1i")
+    # every class holds, so no walk names one; the converse walks n <= 7
+    # whatever the polygon cap
+    assert walked == list(range(3, enumeration._CONVERSE_HI + 1)) * (which != "thm1i")
     # the totals of the open-state engine, which no sweep runs
     counts = seed_counts.Counts(kind, dissections._OVER_F2, 20)
     want = sum(count for n in range(3, 21) for _, count in counts.classes(n))
@@ -364,7 +385,7 @@ def test_solution_report_rejects_non_integer_n(n):
 
 @pytest.mark.parametrize(
     "bounds",
-    [{"n_lo": 1.0}, {"n_lo": 3.5}, {"n_hi": 5.0}, {"n_hi": "5"}, {"polygon_cap": 12.0}, {"int_cap": 8.0},
+    [{"n_lo": 1.0}, {"n_lo": 3.5}, {"n_hi": 5.0}, {"n_hi": "5"}, {"polygon_cap": 12.0}, {"mod2_cap": 20.0},
      {"count_cap": 64.0}],
 )
 @pytest.mark.parametrize("which", ["thm1i", "thm2", "thm3"])

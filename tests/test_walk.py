@@ -136,7 +136,7 @@ SWEEP_ALL_10_JSON = (
 
 @pytest.fixture
 def default_caps(monkeypatch):
-    for name in ("QUIDDITY_MOD2_CAP", "QUIDDITY_POLYGON_CAP", "QUIDDITY_INT_CAP", "QUIDDITY_COUNT_CAP"):
+    for name in ("QUIDDITY_MOD2_CAP", "QUIDDITY_POLYGON_CAP", "QUIDDITY_COUNT_CAP"):
         monkeypatch.delenv(name, raising=False)
 
 
@@ -144,6 +144,16 @@ def default_caps(monkeypatch):
 def test_sweep_all_prints_the_recorded_output(flags, want, capsys, default_caps):
     assert main(["enumerate", "10", "--sweep", "all", *flags]) == 0
     assert capsys.readouterr() == (want, "")
+
+
+def test_a_polygon_cap_below_the_converse_changes_no_sweep(capsys, default_caps, monkeypatch):
+    # the polygon cap bounds only the walk that names a failing class; the
+    # converse walks n <= 7 whatever it is
+    assert main(["enumerate", "12", "--sweep", "all"]) == 0
+    want = capsys.readouterr()
+    monkeypatch.setenv("QUIDDITY_POLYGON_CAP", "4")
+    assert main(["enumerate", "12", "--sweep", "all"]) == 0
+    assert capsys.readouterr() == want
 
 
 def test_sweep_past_the_default_count_cap_is_a_usage_error(capsys, default_caps):
