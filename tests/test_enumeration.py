@@ -259,6 +259,7 @@ _PAST_COUNT_CAP = DEFAULT_COUNT_CAP + 1
 ])
 def test_sweep_past_a_cap_raises_before_any_work(monkeypatch, which, n_lo, n_hi, caps, message):
     _patch_sweep_workers(monkeypatch, _never_called)
+    monkeypatch.setattr(enumeration, "_Counts", _never_called)
     caps = dict(caps)
     monkeypatch.setattr(enumeration, "_CONVERSE_HI", caps.pop("converse_hi", enumeration._CONVERSE_HI))
     with pytest.raises(CapExceeded) as err:
@@ -282,6 +283,9 @@ def test_sweep_past_a_cap_raises_before_any_work(monkeypatch, which, n_lo, n_hi,
 ])
 def test_enumerate_checks_every_chosen_sweep_before_running_one(capsys, monkeypatch, argv, env, message):
     _patch_sweep_workers(monkeypatch, _never_called)
+    # building thm1i's count table is work too: a command whose later sweep
+    # fails its cap must not start the first one
+    monkeypatch.setattr(enumeration, "_Counts", _never_called)
     for name in ("QUIDDITY_MOD2_CAP", "QUIDDITY_POLYGON_CAP", "QUIDDITY_COUNT_CAP"):
         monkeypatch.delenv(name, raising=False)
     for name, value in env.items():
